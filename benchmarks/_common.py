@@ -1,10 +1,10 @@
-"""Shared helpers for the per-figure benchmarks.
+"""Shared helpers for the figure benchmarks.
 
-Every benchmark regenerates one table/figure of the paper by executing
-its :class:`repro.scenarios.FigureSpec` through the sweep harness:
-:func:`bench_figure` runs the registered matrix (parallel workers via
-``REPRO_BENCH_WORKERS``, execution backend via ``REPRO_BACKEND`` —
-serial / process / batched / shard, cached artifacts via
+``bench_figures.py`` regenerates every table/figure of the paper by
+executing its :class:`repro.scenarios.FigureSpec` through the sweep
+harness: :func:`bench_figure` runs the registered matrix (parallel
+workers via ``REPRO_BENCH_WORKERS``, execution backend via
+``REPRO_BACKEND`` — serial / process, cached artifacts via
 ``REPRO_BENCH_CACHE=1``),
 :func:`bench_report` prints the figure's paper-vs-measured table (also
 written to ``benchmarks/results/<fig_id>.txt``), and

@@ -11,24 +11,23 @@ Nine subcommands cover the common interactive uses:
   ``run --all`` to reproduce the whole paper in one campaign that
   renders ``REPRODUCTION.md`` + ``campaign.json``, or ``trend`` to
   diff two ``campaign.json`` records for regressions,
-- ``shard``: scale a campaign out over hosts — ``plan`` deterministic
-  shard manifests, ``run`` one shard anywhere against a local store,
-  ``merge`` the shard stores back into one,
-- ``orchestrate``: the elastic whole-campaign version of ``shard`` —
-  plan wall-time-balanced shards, fan them out over local (or SSH)
-  workers with heartbeats, retry shards whose worker dies, merge each
-  shard as it lands, and render the same REPRODUCTION.md +
-  campaign.json a single-host run produces,
+- ``orchestrate``: scale a campaign out — plan wall-time-balanced
+  shards, fan them out over local (or SSH) workers with heartbeats,
+  retry shards whose worker dies, merge each shard as it lands, and
+  render the same REPRODUCTION.md + campaign.json a single-host run
+  produces,
 - ``store``: artifact-store maintenance — ``compact`` a store into one
   columnar segment file (absorbing legacy one-JSON-per-task
   artifacts), ``inspect`` its statistics, ``verify`` its integrity,
 - ``docs``: regenerate (or drift-check) the ``docs/figures/`` pages
   from the registry,
-- ``footprint``: print the Table-1 memory accounting.
+- ``footprint``: print the Table-1 memory accounting,
+- ``perf``: capture a perf record of the core micro-benchmarks
+  (``run``) or diff two records (``trend``).
 
 Campaign-scale commands accept ``--backend`` (or ``$REPRO_BACKEND``)
-to pick the execution backend: ``serial``, ``process``, ``batched``,
-or ``shard`` (see :mod:`repro.harness.backends`).
+to pick the execution backend: ``serial`` or ``process`` (see
+:mod:`repro.harness.backends`).
 
 Examples::
 
@@ -39,13 +38,9 @@ Examples::
     python -m repro figures list
     python -m repro figures run fig07 fig08_permutation --workers 4
     python -m repro figures run --all --scale smoke --workers 4 \\
-        --backend batched
+        --backend process
     python -m repro figures run --all --tag failures --skip fig09
     python -m repro figures trend old-campaign.json campaign.json --strict
-    python -m repro shard plan --shards 4 --scale smoke --out plan/
-    python -m repro shard run plan/shard-0.json --store stores/shard-0
-    python -m repro shard merge --into stores/merged/campaign \\
-        stores/shard-0 stores/shard-1
     python -m repro orchestrate --scale smoke --fan-out 4 \\
         --results-dir /tmp/orch --html /tmp/orch/status.html
     python -m repro store compact benchmarks/results/sweeps/campaign
@@ -58,7 +53,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -234,46 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("--strict", action="store_true",
                       help="exit non-zero on any regression (worse "
                            "badge, metric drift, lost coverage)")
-
-    shard_p = sub.add_parser(
-        "shard", help="scale a campaign out: plan / run / merge")
-    shard_sub = shard_p.add_subparsers(dest="shard_command",
-                                       required=True)
-    sp_p = shard_sub.add_parser(
-        "plan", help="partition the campaign grid into shard manifests")
-    sp_p.add_argument("--shards", type=int, default=2,
-                      help="number of shards to plan (default 2)")
-    sp_p.add_argument("--out", default="shard-plan",
-                      help="directory for shard-<i>.json manifests")
-    sp_p.add_argument("--only", default=None, metavar="IDS",
-                      help="comma-separated figure ids to keep")
-    sp_p.add_argument("--skip", default=None, metavar="IDS",
-                      help="comma-separated figure ids to drop")
-    sp_p.add_argument("--tag", default=None, metavar="TAGS",
-                      help="keep figures carrying any of these tags")
-    sp_p.add_argument("--scale", default=None,
-                      choices=("smoke", "quick", "full"),
-                      help="set REPRO_BENCH_SCALE for the plan (the "
-                           "scale is recorded in every manifest)")
-    sr_p = shard_sub.add_parser(
-        "run", help="execute one shard manifest against a local store")
-    sr_p.add_argument("manifest", help="shard-<i>.json from `shard plan`")
-    sr_p.add_argument("--store", required=True,
-                      help="local artifact-store directory for this "
-                           "shard's results")
-    sr_p.add_argument("--workers", type=int, default=1,
-                      help="worker processes (1 = serial)")
-    sr_p.add_argument("--backend", default=None, choices=backend_names(),
-                      help="execution backend for this shard's tasks")
-    sm_p = shard_sub.add_parser(
-        "merge", help="fold shard stores into one campaign store")
-    sm_p.add_argument("sources", nargs="+", metavar="STORE",
-                      help="shard store directories to merge")
-    sm_p.add_argument("--into", required=True,
-                      help="destination store (use "
-                           "<results-dir>/campaign so `repro figures "
-                           "run --all --results-dir <results-dir>` "
-                           "finds it)")
 
     orc_p = sub.add_parser(
         "orchestrate",
@@ -539,7 +493,7 @@ def _campaign_specs(prog: str, *, only: List[str] = (),
                     policies: List[str] = ()):
     """The figure selection every campaign-scale command shares.
 
-    ``figures run --all``, ``shard plan`` and ``orchestrate`` must
+    ``figures run --all`` and ``orchestrate`` must
     agree on what a selection means (including the ``--policies``
     arena derivation), or an orchestrated campaign could silently
     cover a different figure set than the single-host run it is
@@ -739,161 +693,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             else:
                 print(f"[OK ] {fig_id} paper-shape checks hold")
     return 0 if ok else 1
-
-
-def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    from .harness.backends import plan_manifests, write_shard_plan
-    from .harness.backends.worker import scoped_env
-    from .harness.scale import current_scale
-    from .harness.sweep import task_key
-
-    if args.shards < 1:
-        raise SystemExit("repro shard plan: --shards must be >= 1")
-    scale_scope = scoped_env(REPRO_BENCH_SCALE=args.scale) \
-        if args.scale else contextlib.nullcontext()
-    with scale_scope:
-        specs = _campaign_specs("repro shard plan",
-                                only=_split_csv(args.only),
-                                skip=_split_csv(args.skip),
-                                tags=_split_csv(args.tag))
-        figures, by_key = [], {}
-        for spec in specs:
-            # mirror the campaign's fail-soft behaviour: a figure whose
-            # matrix cannot build contributes no tasks on any host, so
-            # skipping it keeps shards equal to a single-host run
-            try:
-                tasks = spec.build()
-            except Exception as exc:
-                print(f"warning: skipping {spec.fig_id}: matrix failed "
-                      f"to build ({exc})")
-                continue
-            figures.append(spec.fig_id)
-            for task in tasks.values():
-                by_key.setdefault(task_key(task), task)
-        manifests = plan_manifests(figures, list(by_key), args.shards,
-                                   current_scale().name)
-        paths = write_shard_plan(args.out, manifests)
-        sizes = ", ".join(str(len(m["keys"])) for m in manifests)
-        print(f"planned {len(by_key)} task(s) from {len(figures)} "
-              f"figure(s) into {args.shards} shard(s) [{sizes}] "
-              f"at scale {current_scale().name}")
-        for path in paths:
-            print(f"  {path}")
-    return 0
-
-
-def _cmd_shard_run(args: argparse.Namespace) -> int:
-    from .harness.backends import (
-        expand_figures,
-        load_shard_manifest,
-        shard_origin,
-        tasks_for_manifest,
-    )
-    from .harness.backends.worker import scoped_env
-    from .harness.sweep import simulator_version
-
-    _check_backend_env()
-    try:
-        manifest = load_shard_manifest(args.manifest)
-    except ValueError as exc:
-        raise SystemExit(f"repro shard run: {exc}")
-    # the scale and shard identity are the *manifest's*, exported only
-    # for the duration of this run: matrices resolve REPRO_BENCH_SCALE
-    # lazily and provenance reads REPRO_SHARD, but a later in-process
-    # run (tests, an orchestrator driving shards) must not inherit a
-    # stale shard identity in its provenance header
-    with scoped_env(REPRO_BENCH_SCALE=str(manifest["scale"]),
-                    REPRO_SHARD=(f"{manifest['shard']}/"
-                                 f"{manifest['n_shards']}")):
-        if simulator_version() != manifest["sim"]:
-            raise SystemExit(
-                f"repro shard run: simulator {simulator_version()} "
-                f"does not match the plan's {manifest['sim']}; shards "
-                f"from different source revisions can never merge — "
-                f"check out the planning commit or re-plan")
-        try:
-            tasks = tasks_for_manifest(
-                manifest, expand_figures(manifest["figures"]))
-        except (KeyError, ValueError) as exc:
-            raise SystemExit(f"repro shard run: {exc}")
-        store = _open_store(args.store, origin=shard_origin(manifest))
-        if not tasks:
-            # still materialize the (empty) store: scripts merge every
-            # planned shard, and `shard merge` rejects missing
-            # directories
-            os.makedirs(store.root, exist_ok=True)
-            print(f"{shard_origin(manifest)}: empty shard, nothing "
-                  f"to run")
-            return 0
-        results = run_sweep(tasks, workers=args.workers, store=store,
-                            progress=True, backend=args.backend)
-        print(f"{shard_origin(manifest)}: {len(results)} task(s) "
-              f"({results.executed} executed, {results.cached} cached) "
-              f"-> {store.root}")
-    return 0
-
-
-def _looks_like_store(path: str) -> bool:
-    """Heuristic pre-flight for ``shard merge`` sources: an empty
-    directory is a valid (empty) shard store, and any store carries a
-    segment file and/or JSON artifacts/manifest — a directory with
-    neither (someone's results dir, a typo'd path) is not a store."""
-    from .harness.store import ColumnarStore
-
-    try:
-        names = os.listdir(path)
-    except OSError:
-        return False
-    return (not names
-            or any(n == ColumnarStore.SEGMENT or n.endswith(".json")
-                   for n in names))
-
-
-def _cmd_shard_merge(args: argparse.Namespace) -> int:
-    from .harness.store import ColumnarStore
-
-    dest = _open_store(args.into)
-    # validate every source before touching the destination: a typo in
-    # source k must not leave the campaign store half-merged
-    for src in args.sources:
-        if not os.path.isdir(src) or not _looks_like_store(src):
-            raise SystemExit(f"repro shard merge: {src} is not a "
-                             f"store directory")
-    total = 0
-    done: List[str] = []
-    for src in args.sources:
-        # sources always open read-compatible (segment + legacy JSON),
-        # whatever $REPRO_STORE says about the destination: a v1 store
-        # cannot see segment files, and "merged 0 artifact(s)" from a
-        # v2 shard store must not be a silent success
-        try:
-            merged = dest.merge_from(ColumnarStore(src))
-        except Exception as exc:
-            # merge_from is idempotent (content-keyed), so the partial
-            # merge is safe: fixing the bad source and re-running the
-            # same command completes the campaign store
-            raise SystemExit(
-                f"repro shard merge: merging {src} failed: {exc}\n"
-                f"merged {len(done)}/{len(args.sources)} source(s) "
-                f"before the failure"
-                + (f" ({', '.join(done)})" if done else "")
-                + f"; {src} and later sources did not land — re-run "
-                  f"the same merge once the source is fixed "
-                  f"(already-merged artifacts are skipped)")
-        total += len(merged)
-        done.append(src)
-        print(f"merged {len(merged)} artifact(s) from {src}")
-    print(f"store {dest.root}: {len(dest)} artifact(s) "
-          f"({total} newly merged)")
-    return 0
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    return {
-        "plan": _cmd_shard_plan,
-        "run": _cmd_shard_run,
-        "merge": _cmd_shard_merge,
-    }[args.shard_command](args)
 
 
 def _cmd_orchestrate(args: argparse.Namespace) -> int:
@@ -1145,7 +944,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "compare": _cmd_compare,
         "sweep": _cmd_sweep,
         "figures": _cmd_figures,
-        "shard": _cmd_shard,
         "orchestrate": _cmd_orchestrate,
         "store": _cmd_store,
         "docs": _cmd_docs,

@@ -8,14 +8,12 @@ benchmarks) selects *how* pending tasks execute by backend name —
 - ``serial``  — in-process, in order; the debuggable reference.
 - ``process`` — one ``multiprocessing`` dispatch per task (the
   historical ``workers=N`` pool).
-- ``batched`` — interleaved task batches per worker with batched
-  artifact-store writes; amortizes dispatch and manifest I/O on
-  matrices of short tasks.
-- ``shard``   — partition / run-per-shard / merge, in-process; the
-  continuously-tested rehearsal of the ``repro shard`` multi-host
-  flow.
 
-All backends produce byte-identical artifacts for the same grid (the
+Multi-host runs are not a backend: ``repro orchestrate`` fans shard
+manifests out to worker processes (:mod:`.worker`), each of which
+runs its slice through one of these backends.
+
+Both backends produce byte-identical artifacts for the same grid (the
 equivalence suite in ``tests/harness/test_backends.py`` enforces it),
 so backend choice never invalidates a store.
 """
@@ -27,20 +25,8 @@ import os
 from typing import Optional, Union
 
 from .base import Backend, ProgressCb
-from .batched import BatchedBackend
 from .process import ProcessBackend
 from .serial import SerialBackend
-from .shard import (
-    SHARD_SCHEMA,
-    ShardBackend,
-    expand_figures,
-    load_shard_manifest,
-    plan_manifests,
-    shard_origin,
-    shard_partition,
-    tasks_for_manifest,
-    write_shard_plan,
-)
 
 #: the env var naming the default backend for this process tree
 BACKEND_ENV = "REPRO_BACKEND"
@@ -49,8 +35,6 @@ BACKEND_ENV = "REPRO_BACKEND"
 BACKENDS = {
     SerialBackend.name: SerialBackend,
     ProcessBackend.name: ProcessBackend,
-    BatchedBackend.name: BatchedBackend,
-    ShardBackend.name: ShardBackend,
 }
 
 #: what ``resolve_backend(None)`` falls back to, by worker count
@@ -63,7 +47,7 @@ def backend_names() -> list:
 
 
 def make_backend(name: str, *, workers: int = 1,
-                 mp_context: Optional[str] = None, **kwargs) -> Backend:
+                 mp_context: Optional[str] = None) -> Backend:
     """Instantiate a backend by registry name."""
     try:
         cls = BACKENDS[name]
@@ -72,8 +56,8 @@ def make_backend(name: str, *, workers: int = 1,
             f"unknown backend {name!r}; one of {backend_names()}"
         ) from None
     if cls is SerialBackend:
-        return cls(**kwargs)
-    return cls(workers=workers, mp_context=mp_context, **kwargs)
+        return cls()
+    return cls(workers=workers, mp_context=mp_context)
 
 
 def resolve_backend(spec: Union[Backend, str, None] = None, *,
@@ -106,20 +90,10 @@ __all__ = [
     "BACKEND_ENV",
     "BACKENDS",
     "Backend",
-    "BatchedBackend",
     "ProcessBackend",
     "ProgressCb",
-    "SHARD_SCHEMA",
     "SerialBackend",
-    "ShardBackend",
     "backend_names",
-    "expand_figures",
-    "load_shard_manifest",
     "make_backend",
-    "plan_manifests",
     "resolve_backend",
-    "shard_origin",
-    "shard_partition",
-    "tasks_for_manifest",
-    "write_shard_plan",
 ]

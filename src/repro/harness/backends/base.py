@@ -2,8 +2,7 @@
 
 :func:`~repro.harness.sweep.run_sweep` decides *what* runs (grid
 expansion, dedup, cache lookups); a :class:`Backend` decides how the
-cache misses execute — in-process, across a worker pool, in amortized
-batches, or sharded into independent stores that merge later.
+cache misses execute — in-process or across a worker pool.
 
 The contract every implementation must honour:
 
@@ -37,6 +36,9 @@ class Backend(ABC):
 
     #: registry name (``--backend <name>`` / ``REPRO_BACKEND``)
     name: str = "?"
+
+    #: processes the pending tasks run on (pool backends override it)
+    workers: int = 1
 
     @abstractmethod
     def run(self, pending: Pending, store=None,

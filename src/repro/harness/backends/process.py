@@ -22,6 +22,7 @@ from typing import Dict, Optional, Tuple
 from ..sweep import SweepTask, execute_task
 from .base import Backend, Pending, ProgressCb, emit, task_stats
 from .schedule import longest_first
+from .serial import SerialBackend
 
 
 def _pool_entry(item: Tuple[str, SweepTask]
@@ -46,16 +47,9 @@ class ProcessBackend(Backend):
             progress_cb: Optional[ProgressCb] = None
             ) -> Dict[str, Dict[str, object]]:
         pending = list(pending)
-        payloads: Dict[str, Dict[str, object]] = {}
         if self.workers <= 1 or len(pending) <= 1:
-            for key, task in pending:
-                t0 = time.perf_counter()
-                payload = execute_task(task)
-                wall = time.perf_counter() - t0
-                payloads[key] = payload
-                emit(store, key, payload, progress_cb,
-                     stats=task_stats(payload, wall))
-            return payloads
+            return SerialBackend().run(pending, store, progress_cb)
+        payloads: Dict[str, Dict[str, object]] = {}
         ordered = longest_first(pending, store)
         ctx = multiprocessing.get_context(self.mp_context)
         n = min(self.workers, len(ordered))

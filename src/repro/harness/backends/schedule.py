@@ -1,4 +1,4 @@
-"""Wall-time-driven task ordering for the parallel backends.
+"""Wall-time-driven task ordering for the process pool and the planner.
 
 The store's manifest entries carry per-task execution accounting
 (``wall_s``, recorded by every backend through
@@ -60,13 +60,6 @@ def wall_time_history(store) -> Dict[str, Tuple[float, int]]:
             float(wall))
     return {label: (sum(vals) / len(vals), len(vals))
             for label, vals in totals.items()}
-
-
-def wall_time_by_label(store) -> Dict[str, float]:
-    """Mean recorded wall seconds per task label, from the store's
-    manifest accounting.  Empty when nothing was ever timed."""
-    return {label: mean
-            for label, (mean, _n) in wall_time_history(store).items()}
 
 
 def default_expectation(history: Dict[str, Tuple[float, int]]) -> float:

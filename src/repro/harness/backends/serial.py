@@ -2,7 +2,7 @@
 
 The debugging baseline — no pool, no pickling, tracebacks point
 straight at the failing task — and the reference implementation the
-equivalence suite measures every other backend against.
+equivalence suite measures the process backend against.
 """
 
 from __future__ import annotations

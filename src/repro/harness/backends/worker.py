@@ -3,10 +3,12 @@
 The execution leaf of ``repro orchestrate``: the orchestrator plans
 shard manifests and fans them out to worker processes, each of which
 runs this module (``python -m repro.harness.backends.worker``) against
-one manifest.  A worker
+one manifest.  This module owns the manifest format — the planner
+builds manifests through :func:`shard_manifest` and the worker is
+their only reader.  A worker
 
-1. validates the manifest exactly as ``repro shard run`` does
-   (simulator-version match, grid re-expansion at the recorded scale),
+1. validates the manifest (kind and schema, simulator-version match,
+   grid re-expansion at the recorded scale),
 2. executes the shard's pending tasks through a normal execution
    backend into a local store tagged with the shard's identity, and
 3. writes a small JSON *heartbeat* file on an interval **and** on
@@ -35,10 +37,18 @@ import os
 import sys
 import threading
 import time
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
+
+from ..sweep import SCHEMA_VERSION, SweepTask, simulator_version, task_key
 
 #: exit code for validation failures a retry cannot fix
 EXIT_FATAL = 3
+
+#: bump when the shard manifest layout changes
+SHARD_SCHEMA = 1
+
+#: manifest marker so arbitrary JSON cannot be fed to a worker
+SHARD_KIND = "repro-shard"
 
 #: failure-drill hook: seconds to sleep after each executed task
 THROTTLE_ENV = "REPRO_WORKER_THROTTLE_S"
@@ -51,7 +61,7 @@ def scoped_env(**pairs: Optional[str]) -> Iterator[None]:
     Every named variable is restored on exit — to its previous value,
     or removed if it did not exist (a plain ``monkeypatch``-style
     save/restore; ``None`` removes the variable for the scope).  The
-    shard CLI and the worker run below code that reads
+    worker and ``repro orchestrate`` run code that reads
     ``REPRO_BENCH_SCALE`` / ``REPRO_SHARD`` from the environment; this
     keeps that contract while guaranteeing a later in-process run (a
     test, or an orchestrator driving shards) cannot inherit a stale
@@ -73,6 +83,102 @@ def scoped_env(**pairs: Optional[str]) -> Iterator[None]:
                 os.environ[name] = value
 
 
+# ----------------------------------------------------------------------
+# the shard manifest
+# ----------------------------------------------------------------------
+def shard_manifest(index: int, n_shards: int, figures: Sequence[str],
+                   keys: Sequence[str], *, scale: str,
+                   expected_s: float) -> Dict[str, object]:
+    """One shard's manifest: the keys it runs plus the grid identity.
+
+    ``figures`` is the resolved figure-id selection (recorded so the
+    worker re-expands exactly the planner's grid, immune to later
+    registry/tag drift) and ``scale`` the bench scale it was expanded
+    at; ``sim`` pins the simulator source the keys were computed for.
+    ``expected_s`` is the planner's wall-time estimate for the shard.
+    """
+    return {
+        "schema": SHARD_SCHEMA,
+        "kind": SHARD_KIND,
+        "shard": index,
+        "n_shards": n_shards,
+        "sim": simulator_version(),
+        "artifact_schema": SCHEMA_VERSION,
+        "scale": scale,
+        "figures": list(figures),
+        "keys": list(keys),
+        "expected_s": round(expected_s, 6),
+    }
+
+
+def write_shard_plan(out_dir: str,
+                     manifests: Sequence[Dict[str, object]]) -> List[str]:
+    """Persist ``manifests`` as ``shard-<i>.json`` under ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for manifest in manifests:
+        path = os.path.join(out_dir, f"shard-{manifest['shard']}.json")
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        paths.append(path)
+    return paths
+
+
+def load_shard_manifest(path: str) -> Dict[str, object]:
+    """Read and validate one shard manifest."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read shard manifest {path}: {exc}")
+    if not isinstance(manifest, dict) or \
+            manifest.get("kind") != SHARD_KIND:
+        raise ValueError(f"{path} is not a repro shard manifest")
+    if manifest.get("schema") != SHARD_SCHEMA:
+        raise ValueError(
+            f"{path}: shard schema {manifest.get('schema')!r} "
+            f"unsupported (expected {SHARD_SCHEMA})")
+    return manifest
+
+
+def shard_origin(manifest: Dict[str, object]) -> str:
+    """The shard identity recorded in store manifests / provenance."""
+    return f"shard-{manifest['shard']}/{manifest['n_shards']}"
+
+
+def expand_figures(figures: Sequence[str]) -> Dict[str, SweepTask]:
+    """``key -> task`` for a figure-id selection (deduplicated)."""
+    from ...scenarios import get_figure
+
+    by_key: Dict[str, SweepTask] = {}
+    for fig_id in figures:
+        spec = get_figure(fig_id)
+        for task in spec.build().values():
+            by_key.setdefault(task_key(task), task)
+    return by_key
+
+
+def tasks_for_manifest(manifest: Dict[str, object],
+                       by_key: Dict[str, SweepTask]) -> List[SweepTask]:
+    """Resolve a manifest's keys against a re-expanded grid.
+
+    Raises :class:`ValueError` when any planned key is missing — the
+    grid drifted (code or scale changed) since the plan, and running
+    anyway would produce artifacts the merge can never match.
+    """
+    missing = [key for key in manifest["keys"] if key not in by_key]
+    if missing:
+        raise ValueError(
+            f"{len(missing)} planned task(s) missing from the "
+            f"re-expanded grid (first: {missing[0]}); the figure "
+            f"matrices changed since the plan — re-plan")
+    return [by_key[key] for key in manifest["keys"]]
+
+
+# ----------------------------------------------------------------------
+# heartbeats and the worker
+# ----------------------------------------------------------------------
 class Heartbeat:
     """Atomic liveness + progress file, written by a daemon thread.
 
@@ -168,14 +274,7 @@ def run_shard_worker(manifest_path: str, store_dir: str, *,
     (``REPRO_BENCH_SCALE``, ``REPRO_SHARD``) are scoped to this call.
     """
     from ..store import open_store
-    from ..sweep import simulator_version, task_key
-    from . import (
-        expand_figures,
-        load_shard_manifest,
-        resolve_backend,
-        shard_origin,
-        tasks_for_manifest,
-    )
+    from . import resolve_backend
 
     out = out if out is not None else sys.stdout
 

@@ -1,8 +1,8 @@
 """Elastic campaign orchestration: plan, fan out, retry, merge, report.
 
-``repro shard plan | run | merge`` proves multi-host correctness but
-leaves a human playing scheduler.  ``repro orchestrate`` closes the
-loop (ROADMAP: *distributed elastic campaign orchestration*):
+``repro orchestrate`` runs one campaign across worker processes on
+this host or, through :class:`SSHRunner`, on hosts that share a
+filesystem:
 
 1. **Plan.**  The figure selection expands into its deduplicated task
    grid, and :func:`balanced_partition` bins the content keys into
@@ -11,8 +11,8 @@ loop (ROADMAP: *distributed elastic campaign orchestration*):
    (:func:`~repro.harness.backends.schedule.wall_time_history`), so a
    warm store makes shards that finish together instead of leaving one
    straggler shard to serialize the tail.  With no history every key
-   weighs the same and the plan degrades to the deterministic
-   round-robin ``shard plan`` produces.
+   weighs the same and the plan degrades to a deterministic
+   round-robin over the sorted keys.
 2. **Fan out.**  A :class:`WorkerRunner` launches one worker process
    per busy slot (:class:`LocalGroupRunner` spawns local process
    groups; :class:`SSHRunner` wraps the identical command in ``ssh``
@@ -62,15 +62,15 @@ from .backends.schedule import (
     task_label,
     wall_time_history,
 )
-from .backends.shard import (
-    SHARD_KIND,
-    SHARD_SCHEMA,
+from .backends.worker import (
+    EXIT_FATAL,
+    read_heartbeat,
+    shard_manifest,
     shard_origin,
     write_shard_plan,
 )
-from .backends.worker import EXIT_FATAL, read_heartbeat
 from .scale import current_scale
-from .sweep import SCHEMA_VERSION, SweepTask, simulator_version, task_key
+from .sweep import SweepTask, task_key
 
 #: shard lifecycle states, in display order
 SHARD_STATES = ("pending", "running", "merged", "failed", "aborted")
@@ -86,10 +86,9 @@ def balanced_partition(weighted: Sequence[Tuple[str, float]],
     Deterministic: keys are taken heaviest-first (ties broken by key)
     and each goes to the currently lightest bin (ties broken by bin
     index).  With all-equal weights this reduces to round-robin over
-    the sorted keys — the same partition ``shard plan`` produces — so
-    orchestration without history plans exactly like the manual flow.
-    Bins keep their assignment order (heaviest first), which is the
-    order the worker executes.
+    the sorted keys, so a plan without history is stable across hosts
+    and input order.  Bins keep their assignment order (heaviest
+    first), which is the order the worker executes.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -142,22 +141,11 @@ def plan_campaign_shards(specs: Sequence, n_shards: int, *,
     weighted = [(key, expected(task)) for key, task in by_key.items()]
     parts = balanced_partition(weighted, n_shards)
     weights = dict(weighted)
-    manifests = []
-    for index, keys in enumerate(parts):
-        if not keys:
-            continue
-        manifests.append({
-            "schema": SHARD_SCHEMA,
-            "kind": SHARD_KIND,
-            "shard": index,
-            "n_shards": n_shards,
-            "sim": simulator_version(),
-            "artifact_schema": SCHEMA_VERSION,
-            "scale": current_scale().name,
-            "figures": list(figures),
-            "keys": keys,
-            "expected_s": round(sum(weights[k] for k in keys), 6),
-        })
+    scale = current_scale().name
+    manifests = [
+        shard_manifest(index, n_shards, figures, keys, scale=scale,
+                       expected_s=sum(weights[k] for k in keys))
+        for index, keys in enumerate(parts) if keys]
     return manifests, sum(w for _k, w in weighted)
 
 
@@ -555,7 +543,7 @@ class Orchestrator:
 
     def _merge(self, shard: ShardRun) -> None:
         # sources open read-compatible whatever $REPRO_STORE says
-        # about the destination — same rule as `repro shard merge`
+        # about the destination
         from .store import ColumnarStore
 
         merged = self.store.merge_from(ColumnarStore(shard.store_dir))

@@ -184,8 +184,7 @@ def _run_timer_storm(scale: int) -> dict:
 #: ISSUE's measurement point; CI smoke uses scale 1 -> 6250)
 _STORE_TASKS_PER_SCALE = 6_250
 
-#: put_many chunk size — matches a batched-backend campaign's store
-#: write pattern (and the store's own compaction block size)
+#: put_many chunk size — the store's own compaction block size
 _STORE_CHUNK = 512
 
 
@@ -290,8 +289,8 @@ def _store_records(n: int) -> Tuple[List[Tuple[str, dict]],
 
 def _store_populate(root: str, records, stats,
                     segment_format: int) -> float:
-    """Write ``records`` chunked as a batched campaign would; returns
-    the wall seconds spent."""
+    """Write ``records`` in ``put_many`` chunks of compaction-block
+    size; returns the wall seconds spent."""
     t0 = time.perf_counter()
     st = ColumnarStore(root, segment_format=segment_format)
     for i in range(0, len(records), _STORE_CHUNK):
@@ -360,7 +359,8 @@ def _run_store_cold_read(scale: int) -> dict:
 
 
 def _run_store_merge(scale: int) -> dict:
-    """Two half-campaign shard stores folded into one (`shard merge`)."""
+    """Two half-campaign shard stores folded into one (the merge
+    ``repro orchestrate`` runs as each shard lands)."""
     n = _STORE_TASKS_PER_SCALE * scale
     records, stats = _store_records(n)
     half = n // 2

@@ -10,9 +10,8 @@ campaign:
    kwargs, a :class:`WorkloadSpec`, a :class:`FailureSpec` — so tasks
    pickle cleanly and hash stably.
 2. :func:`run_sweep` executes the tasks through a pluggable
-   *execution backend* (:mod:`repro.harness.backends`): ``serial``,
-   ``process`` (pool), ``batched`` (chunked pool with batched store
-   writes) or ``shard`` (partition / merge).  Each task carries its
+   *execution backend* (:mod:`repro.harness.backends`): ``serial``
+   or ``process`` (pool).  Each task carries its
    own seed (listed explicitly or spawned deterministically from a
    root seed via :func:`spawn_seeds`), and the simulator is
    deterministic given a seed, so every backend produces
@@ -527,8 +526,8 @@ class ResultStore:
 
         Each artifact write is individually atomic as in :meth:`put`;
         the read-merge-write of ``manifest.json`` happens once per
-        call, which is what makes the batched backend's store I/O
-        O(batches) instead of O(tasks).  ``stats`` optionally maps
+        call, so a caller writing in chunks pays O(chunks) manifest
+        I/O instead of O(tasks).  ``stats`` optionally maps
         keys to per-task execution accounting (``wall_s``/``bytes``)
         recorded into the manifest entries.
         """
@@ -931,8 +930,10 @@ def run_sweep(grid: Union[SweepGrid, Iterable[SweepTask]], *,
     executor = resolve_backend(backend, workers=workers,
                                mp_context=mp_context)
     if progress:
+        # a pool never starts more workers than there are pending tasks
+        n_workers = max(1, min(executor.workers, len(pending)))
         print(f"sweep: {len(tasks)} tasks, {len(cached_keys)} cached, "
-              f"{len(pending)} to run on {max(1, workers)} worker(s) "
+              f"{len(pending)} to run on {n_workers} worker(s) "
               f"[{executor.name} backend]")
 
     if pending:

@@ -36,7 +36,7 @@ def collect_provenance(backend: Optional[str] = None
     ``backend`` is the resolved execution-backend name the campaign
     actually ran with; when absent the default resolution
     (``$REPRO_BACKEND`` → ``serial``) is recorded.  ``shard`` carries
-    the shard identity ``repro shard run`` exports via
+    the shard identity an orchestrate worker exports via
     ``$REPRO_SHARD`` — empty for whole-campaign (unsharded) runs.
     """
     sha = _git("rev-parse", "--short", "HEAD") or "unknown"

@@ -1,4 +1,4 @@
-"""Execution backends: equivalence, resolution, sharding, merging.
+"""Execution backends: equivalence, resolution, store merging.
 
 The acceptance bar for the backend layer: **every backend produces
 byte-identical artifacts for the same grid**, so backend choice can
@@ -15,15 +15,11 @@ import pytest
 from repro.harness.backends import (
     BACKEND_ENV,
     BACKENDS,
-    BatchedBackend,
     ProcessBackend,
     SerialBackend,
-    ShardBackend,
     backend_names,
     make_backend,
-    plan_manifests,
     resolve_backend,
-    shard_partition,
 )
 from repro.harness.sweep import (
     ResultStore,
@@ -64,13 +60,20 @@ class TestResolution:
         assert resolve_backend(None, workers=4).name == "process"
 
     def test_env_var_wins_over_worker_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "batched")
+        monkeypatch.setenv(BACKEND_ENV, "process")
+        backend = resolve_backend(None, workers=1)
+        assert backend.name == "process"
         backend = resolve_backend(None, workers=4)
-        assert backend.name == "batched"
+        assert backend.name == "process"
         assert backend.workers == 4
+        monkeypatch.setenv(BACKEND_ENV, "serial")
+        backend = resolve_backend(None, workers=4)
+        assert backend.name == "serial"
+        # serial runs in-process whatever the caller asked for
+        assert backend.workers == 1
 
     def test_name_and_instance_pass_through(self):
-        assert resolve_backend("shard").name == "shard"
+        assert resolve_backend("process").name == "process"
         ready = SerialBackend()
         assert resolve_backend(ready) is ready
 
@@ -83,7 +86,7 @@ class TestResolution:
         assert resolved.mp_context == "spawn"
         assert ready.mp_context is None  # caller's object untouched
         # an instance that chose a context keeps it
-        chosen = BatchedBackend(workers=2, mp_context="fork")
+        chosen = ProcessBackend(workers=2, mp_context="fork")
         assert resolve_backend(chosen, mp_context="spawn") is chosen
         # pool-less backends have no mp_context and pass through
         serial = SerialBackend()
@@ -92,27 +95,59 @@ class TestResolution:
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("quantum")
-        with pytest.raises(ValueError, match="batched"):
+        with pytest.raises(ValueError, match="process"):
             resolve_backend("quantum")
 
     def test_registry_is_complete(self):
-        assert backend_names() == ["batched", "process", "serial",
-                                   "shard"]
+        assert backend_names() == ["process", "serial"]
         for name, cls in BACKENDS.items():
             assert cls.name == name
 
+    @pytest.mark.parametrize("name", ["batched", "shard"])
+    def test_removed_backends_are_unknown(self, name, monkeypatch):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(name)
+        monkeypatch.setenv(BACKEND_ENV, name)
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(None, workers=2)
+
+    @pytest.mark.parametrize("module", ["batched", "shard"])
+    def test_removed_backend_modules_are_gone(self, module):
+        import importlib
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.harness.backends.{module}")
+
+
+class TestProcessFallback:
+    @pytest.mark.parametrize("workers,n_tasks", [(1, 3), (4, 1)],
+                             ids=["one-worker", "one-task"])
+    def test_runs_inline_through_the_serial_backend(
+            self, workers, n_tasks, tmp_path, monkeypatch):
+        """Nothing to fan out: the process backend hands the batch to
+        :class:`SerialBackend` instead of starting a pool."""
+        calls = []
+        real = SerialBackend.run
+
+        def spy(self, pending, store=None, progress_cb=None):
+            calls.append(len(pending))
+            return real(self, pending, store, progress_cb)
+
+        monkeypatch.setattr(SerialBackend, "run", spy)
+        tasks = [make_model_task("footprint", seed=1, buffer_size=b)
+                 for b in (1, 2, 4)][:n_tasks]
+        store = ResultStore(str(tmp_path / "s"))
+        payloads = ProcessBackend(workers=workers).run(
+            [(task_key(t), t) for t in tasks], store)
+        assert calls == [n_tasks]
+        assert sorted(payloads) == sorted(store.keys())
+
 
 class TestEquivalence:
-    """ISSUE acceptance: serial, process, batched and shard-then-merge
-    runs of one grid yield identical key -> payload mappings and
-    identical aggregate tables."""
+    """Serial and pooled process runs of one grid yield identical
+    key -> payload mappings and identical aggregate tables."""
 
-    BACKENDS = [SerialBackend(),
-                ProcessBackend(workers=2),
-                BatchedBackend(workers=2, batch_size=2),
-                ShardBackend(n_shards=2),
-                ShardBackend(workers=2, n_shards=2)]
-    IDS = ["serial", "process", "batched", "shard", "shard-pooled"]
+    BACKENDS = [SerialBackend(), ProcessBackend(workers=2)]
+    IDS = ["serial", "process"]
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
@@ -154,9 +189,9 @@ class TestEquivalence:
 
 
 class TestEquivalenceColumnar:
-    """ISSUE 5 acceptance: all four backends stay byte-identical on
-    the v2 (columnar) store — and v2 payload reads equal the JSON
-    store's artifacts, so the formats are interchangeable."""
+    """Both backends stay byte-identical on the columnar store — and
+    its payload reads equal the JSON store's artifacts, so the formats
+    are interchangeable."""
 
     BACKENDS = TestEquivalence.BACKENDS
     IDS = TestEquivalence.IDS
@@ -209,9 +244,9 @@ class TestEquivalenceColumnar:
 
 
 class TestAdaptiveScheduling:
-    """ISSUE 7 acceptance: longest-expected-first dispatch is live on
-    every parallel backend once the store carries wall-time history —
-    and stays byte-identical to the serial reference."""
+    """Longest-expected-first dispatch is live on the process pool
+    once the store carries wall-time history — and stays
+    byte-identical to the serial reference."""
 
     BACKENDS = TestEquivalence.BACKENDS
     IDS = TestEquivalence.IDS
@@ -245,16 +280,17 @@ class TestAdaptiveScheduling:
 
     def test_scheduler_reorders_from_recorded_history(self, warm):
         from repro.harness.backends.schedule import (
-            longest_first, task_label, wall_time_by_label)
-        by_label = wall_time_by_label(warm)
+            default_expectation, longest_first, task_label,
+            wall_time_history)
+        history = wall_time_history(warm)
+        by_label = {label: mean for label, (mean, _n) in history.items()}
         sims = [task_label(t) for t in mixed_grid() if t.lb != "model"]
         assert all(label in by_label for label in sims)
         pending = [(task_key(t), t) for t in self.second_wave()]
         ordered = longest_first(pending, warm)
         assert sorted(ordered) == sorted(pending)  # pure reordering
-        walls = [by_label.get(
-            task_label(t), sum(by_label.values()) / len(by_label))
-            for _, t in ordered]
+        walls = [by_label.get(task_label(t), default_expectation(history))
+                 for _, t in ordered]
         assert walls == sorted(walls, reverse=True)
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
@@ -282,21 +318,7 @@ class TestAdaptiveScheduling:
             for key in snapshot}
 
 
-class TestBatched:
-    def test_batches_cover_and_interleave(self):
-        backend = BatchedBackend(workers=2, batch_size=2)
-        pending = [(f"k{i}", None) for i in range(7)]
-        batches = backend._batches(pending)
-        assert sorted(k for b in batches for k, _ in b) == \
-            sorted(k for k, _ in pending)
-        assert max(len(b) for b in batches) - \
-            min(len(b) for b in batches) <= 1
-
-    def test_default_batch_count_caps_at_pending(self):
-        backend = BatchedBackend(workers=8)
-        batches = backend._batches([(f"k{i}", None) for i in range(3)])
-        assert len(batches) == 3
-
+class TestPutMany:
     def test_put_many_matches_sequential_puts(self, tmp_path):
         tasks = [make_model_task("footprint", seed=1, buffer_size=b)
                  for b in (1, 2)]
@@ -314,46 +336,6 @@ class TestBatched:
             assert {k: v for k, v in am[key].items()
                     if k != "written_at"} == \
                 {k: v for k, v in bm[key].items() if k != "written_at"}
-
-
-class TestShardPartition:
-    def test_deterministic_and_order_independent(self):
-        keys = [f"{i:04x}" for i in range(13)]
-        assert shard_partition(keys, 3) == \
-            shard_partition(list(reversed(keys)), 3)
-
-    def test_disjoint_cover_balanced(self):
-        keys = [f"{i:04x}" for i in range(13)]
-        parts = shard_partition(keys, 4)
-        flat = [k for part in parts for k in part]
-        assert sorted(flat) == sorted(keys)
-        assert len(flat) == len(set(flat))
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_keys(self):
-        parts = shard_partition(["a", "b"], 5)
-        assert sum(len(p) for p in parts) == 2
-        assert len(parts) == 5
-
-    def test_bad_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            shard_partition(["a"], 0)
-        with pytest.raises(ValueError, match="n_shards"):
-            ShardBackend(n_shards=0)
-
-    def test_manifests_record_grid_identity(self):
-        from repro.harness.sweep import SCHEMA_VERSION, simulator_version
-        manifests = plan_manifests(["table1"], ["aa", "bb", "cc"], 2,
-                                   "smoke")
-        assert [m["shard"] for m in manifests] == [0, 1]
-        for m in manifests:
-            assert m["sim"] == simulator_version()
-            assert m["artifact_schema"] == SCHEMA_VERSION
-            assert m["scale"] == "smoke"
-            assert m["figures"] == ["table1"]
-        assert sorted(manifests[0]["keys"] + manifests[1]["keys"]) == \
-            ["aa", "bb", "cc"]
 
 
 class TestStoreMerge:
@@ -392,16 +374,24 @@ class TestStoreMerge:
         results = run_sweep(tasks, store=dest)
         assert results.executed == 0 and results.cached == 3
 
-    def test_shard_backend_inherits_outer_store_origin(self, tmp_path):
-        """Regression (code review): `repro shard run --backend shard`
-        must not relabel the store's manifest with the backend's
-        internal sub-shard identities."""
-        from repro.harness.backends import ShardBackend
-        store = ResultStore(str(tmp_path), origin="shard-3/4")
-        run_sweep(self.tasks(), store=store,
-                  backend=ShardBackend(n_shards=2))
-        origins = {e.get("origin") for e in store.manifest().values()}
-        assert origins == {"shard-3/4"}
+    def test_columnar_merge_is_idempotent(self, tmp_path):
+        from repro.harness.store import ColumnarStore
+        a = ColumnarStore(str(tmp_path / "a"), origin="shard-0/1")
+        run_sweep(self.tasks(), store=a)
+        dest = ColumnarStore(str(tmp_path / "merged"))
+        assert sorted(dest.merge_from(a)) == sorted(a.keys())
+        assert dest.merge_from(a) == []
+        assert len(dest) == 3
+        assert {e["origin"] for e in dest.manifest().values()} == \
+            {"shard-0/1"}
+
+    def test_merging_an_empty_store_is_a_noop(self, tmp_path):
+        from repro.harness.store import ColumnarStore
+        dest = ColumnarStore(str(tmp_path / "merged"))
+        run_sweep(self.tasks()[:1], store=dest)
+        empty = ColumnarStore(str(tmp_path / "empty"))
+        assert dest.merge_from(empty) == []
+        assert len(dest) == 1
 
     def test_stale_schema_artifacts_stay_behind(self, tmp_path):
         a = ResultStore(str(tmp_path / "a"))

@@ -66,19 +66,19 @@ class TestRunCampaign:
         campaign = run_campaign(stub_registry(), store=store)
         assert campaign.backend == "serial"
         campaign = run_campaign(stub_registry(), store=store,
-                                backend="batched")
-        assert campaign.backend == "batched"
-        monkeypatch.setenv("REPRO_BACKEND", "shard")
+                                backend="process")
+        assert campaign.backend == "process"
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         campaign = run_campaign(stub_registry(), store=store)
-        assert campaign.backend == "shard"
+        assert campaign.backend == "process"
 
     def test_backend_instance_runs_figures(self, tmp_path):
-        from repro.harness.backends import BatchedBackend
+        from repro.harness.backends import ProcessBackend
         store = ResultStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store,
-                                backend=BatchedBackend(batch_size=2))
+                                backend=ProcessBackend())
         assert campaign.ok()
-        assert campaign.backend == "batched"
+        assert campaign.backend == "process"
         assert campaign.executed > 0
 
     def test_empty_campaign_rejected(self):

@@ -15,15 +15,23 @@ import os
 
 import pytest
 
-from repro.harness.backends.shard import shard_partition
 from repro.harness.backends.worker import (
     EXIT_FATAL,
+    SHARD_KIND,
+    SHARD_SCHEMA,
     Heartbeat,
+    expand_figures,
+    load_shard_manifest,
     read_heartbeat,
     run_shard_worker,
     scoped_env,
+    shard_manifest,
+    shard_origin,
+    tasks_for_manifest,
+    write_shard_plan,
 )
 from repro.harness.campaign import select_figures
+from repro.harness.sweep import task_key
 from repro.harness.orchestrate import (
     LocalGroupRunner,
     Orchestrator,
@@ -31,6 +39,7 @@ from repro.harness.orchestrate import (
     WorkerHandle,
     WorkerRunner,
     balanced_partition,
+    plan_campaign_shards,
 )
 
 SELECTION = ("table1", "fig24")  # 7 cheap model tasks at smoke scale
@@ -38,12 +47,14 @@ SELECTION = ("table1", "fig24")  # 7 cheap model tasks at smoke scale
 
 class TestBalancedPartition:
     def test_equal_weights_reduce_to_round_robin(self):
-        """No wall-time history must plan exactly like `shard plan`:
-        round-robin over the sorted keys."""
+        """No wall-time history plans round-robin over the sorted keys,
+        whatever the input order — including more shards than keys,
+        which leaves the surplus bins empty."""
         keys = [f"k{i:02d}" for i in range(11)]
         weighted = [(k, 0.0) for k in reversed(keys)]
-        assert balanced_partition(weighted, 3) == \
-            shard_partition(keys, 3)
+        for n in (3, 4, 13):
+            assert balanced_partition(weighted, n) == \
+                [sorted(keys)[i::n] for i in range(n)]
 
     def test_lpt_balances_skewed_weights(self):
         weighted = [("a", 10.0), ("b", 9.0), ("c", 1.0), ("d", 1.0),
@@ -67,6 +78,12 @@ class TestBalancedPartition:
     def test_rejects_nonpositive_shards(self):
         with pytest.raises(ValueError, match=">= 1"):
             balanced_partition([("a", 1.0)], 0)
+
+    def test_bins_keep_heaviest_first_order(self):
+        """A bin lists its keys in assignment order, which is the order
+        the worker executes: the heaviest task starts first."""
+        weighted = [("c", 1.0), ("a", 5.0), ("b", 3.0), ("d", 3.0)]
+        assert balanced_partition(weighted, 1) == [["a", "b", "d", "c"]]
 
 
 class TestScopedEnv:
@@ -125,6 +142,30 @@ class TestHeartbeat:
         beat.close()
 
 
+def _manifest_doc(keys=None):
+    """A valid one-shard manifest over ``table1`` at smoke scale."""
+    with scoped_env(REPRO_BENCH_SCALE="smoke"):
+        if keys is None:
+            keys = sorted(expand_figures(["table1"]))
+        return shard_manifest(0, 1, ["table1"], keys, scale="smoke",
+                              expected_s=0.0)
+
+
+#: manifest mutations a worker must refuse before running anything:
+#: ``(id, doc -> doc, expected message)``
+_BAD_MANIFESTS = [
+    ("simulator-drift", lambda doc: {**doc, "sim": "0" * 16}, "re-plan"),
+    ("not-a-manifest", lambda doc: {"keys": doc["keys"]},
+     "not a repro shard manifest"),
+    ("unsupported-schema", lambda doc: {**doc, "schema": 99},
+     "unsupported"),
+    ("grid-drift", lambda doc: {**doc, "keys": doc["keys"] + ["f" * 16]},
+     "missing from the re-expanded grid"),
+    ("unknown-figure", lambda doc: {**doc, "figures": ["fig99"]},
+     "unknown figure"),
+]
+
+
 class TestWorkerValidation:
     def test_unreadable_manifest_is_fatal(self, tmp_path):
         out = io.StringIO()
@@ -133,18 +174,203 @@ class TestWorkerValidation:
         assert rc == EXIT_FATAL
         assert "cannot read" in out.getvalue()
 
-    def test_simulator_drift_is_fatal(self, tmp_path):
-        manifest = {"schema": 1, "kind": "repro-shard", "shard": 0,
-                    "n_shards": 1, "sim": "0" * 16,
-                    "artifact_schema": 1, "scale": "smoke",
-                    "figures": ["table1"], "keys": []}
+    @pytest.mark.parametrize("mutate,message",
+                             [case[1:] for case in _BAD_MANIFESTS],
+                             ids=[case[0] for case in _BAD_MANIFESTS])
+    def test_invalid_manifest_is_fatal(self, tmp_path, mutate, message):
         path = tmp_path / "shard-0.json"
-        path.write_text(json.dumps(manifest))
+        path.write_text(json.dumps(mutate(_manifest_doc())))
         out = io.StringIO()
         rc = run_shard_worker(str(path), str(tmp_path / "s"), out=out)
         assert rc == EXIT_FATAL
-        assert "re-plan" in out.getvalue()
+        assert message in out.getvalue()
+        # refused before anything ran: no store, no leaked identity
+        assert not (tmp_path / "s").exists()
         assert "REPRO_SHARD" not in os.environ
+
+    def test_run_scopes_shard_identity(self, tmp_path, monkeypatch):
+        """The worker exports the manifest's scale and shard identity
+        only for the run: the store records the origin, and the
+        caller's previous values come back afterwards."""
+        from repro.harness.store import open_store
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "full")
+        monkeypatch.setenv("REPRO_SHARD", "9/9")
+        path = tmp_path / "shard-0.json"
+        path.write_text(json.dumps(_manifest_doc()))
+        rc = run_shard_worker(str(path), str(tmp_path / "s"),
+                              out=io.StringIO())
+        assert rc == 0
+        manifest = open_store(str(tmp_path / "s")).manifest()
+        assert len(manifest) == 5
+        assert {e["origin"] for e in manifest.values()} == {"shard-0/1"}
+        assert os.environ["REPRO_BENCH_SCALE"] == "full"
+        assert os.environ["REPRO_SHARD"] == "9/9"
+
+
+class TestWorkerRun:
+    def write(self, tmp_path):
+        path = tmp_path / "shard-0.json"
+        path.write_text(json.dumps(_manifest_doc()))
+        return str(path)
+
+    def test_rerun_serves_every_task_from_the_store(self, tmp_path):
+        path = self.write(tmp_path)
+        assert run_shard_worker(path, str(tmp_path / "s"),
+                                out=io.StringIO()) == 0
+        out = io.StringIO()
+        assert run_shard_worker(path, str(tmp_path / "s"), out=out) == 0
+        assert "5 task(s) (0 executed, 5 cached)" in out.getvalue()
+
+    def test_heartbeat_reaches_the_shard_total(self, tmp_path):
+        beat = str(tmp_path / "hb.json")
+        rc = run_shard_worker(self.write(tmp_path), str(tmp_path / "s"),
+                              heartbeat_path=beat, out=io.StringIO())
+        assert rc == 0
+        doc = read_heartbeat(beat)
+        assert doc["shard"] == 0 and doc["n_shards"] == 1
+        assert doc["done"] == doc["total"] == 5
+
+    def test_crashing_executor_is_retryable_not_fatal(self, tmp_path,
+                                                      monkeypatch):
+        """An exception mid-shard exits 1 (the orchestrator retries
+        it), not ``EXIT_FATAL``, and names the shard and the cause."""
+        from repro.harness.backends import SerialBackend
+
+        def boom(self, pending, store=None, progress_cb=None):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(SerialBackend, "run", boom)
+        out = io.StringIO()
+        rc = run_shard_worker(self.write(tmp_path), str(tmp_path / "s"),
+                              out=out)
+        assert rc == 1
+        assert "shard-0/1 crashed" in out.getvalue()
+        assert "disk on fire" in out.getvalue()
+        assert "REPRO_SHARD" not in os.environ
+
+    def test_main_runs_a_manifest_from_argv(self, tmp_path, capsys):
+        from repro.harness.backends.worker import main
+        from repro.harness.store import open_store
+        rc = main([self.write(tmp_path), "--store", str(tmp_path / "s"),
+                   "--backend", "serial"])
+        assert rc == 0
+        assert "shard-0/1 done" in capsys.readouterr().out
+        assert len(open_store(str(tmp_path / "s")).manifest()) == 5
+
+
+class TestShardManifest:
+    def test_origin_names_index_and_count(self):
+        assert shard_origin({"shard": 2, "n_shards": 5}) == "shard-2/5"
+
+    def test_expected_seconds_are_rounded(self):
+        doc = shard_manifest(0, 1, ["table1"], ["aa"], scale="smoke",
+                             expected_s=1.23456789)
+        assert doc["expected_s"] == 1.234568
+
+    def test_load_rejects_non_object_json(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(ValueError, match="not a repro shard"):
+            load_shard_manifest(str(path))
+
+    def test_plan_files_are_named_by_shard_index(self, tmp_path):
+        docs = [shard_manifest(i, 4, ["table1"], [f"k{i}"],
+                               scale="smoke", expected_s=0.0)
+                for i in (3, 1)]
+        paths = write_shard_plan(str(tmp_path / "plan"), docs)
+        assert [os.path.basename(p) for p in paths] == \
+            ["shard-3.json", "shard-1.json"]
+        assert load_shard_manifest(paths[0])["keys"] == ["k3"]
+
+    def test_tasks_follow_manifest_key_order(self, smoke_env):
+        by_key = expand_figures(["table1"])
+        keys = sorted(by_key, reverse=True)
+        tasks = tasks_for_manifest(_manifest_doc(keys), by_key)
+        assert [task_key(t) for t in tasks] == keys
+
+    def test_expansion_deduplicates_repeated_figures(self, smoke_env):
+        once = expand_figures(["table1"])
+        assert expand_figures(["table1", "table1"]) == once
+        assert len(once) == 5
+
+    def test_expansion_rejects_unknown_figure(self):
+        with pytest.raises(KeyError, match="figures list"):
+            expand_figures(["fig99"])
+
+
+class _BrokenSpec:
+    """A figure whose matrix cannot build."""
+
+    fig_id = "broken"
+
+    def build(self):
+        raise RuntimeError("bad matrix")
+
+
+class TestShardPlan:
+    def test_manifests_record_grid_identity(self, tmp_path, smoke_env):
+        from repro.harness.sweep import SCHEMA_VERSION, simulator_version
+        specs = select_figures(only=["table1"])
+        manifests, _total = plan_campaign_shards(specs, 2)
+        assert [m["shard"] for m in manifests] == [0, 1]
+        for m in manifests:
+            assert m["kind"] == SHARD_KIND
+            assert m["schema"] == SHARD_SCHEMA
+            assert m["n_shards"] == 2
+            assert m["sim"] == simulator_version()
+            assert m["artifact_schema"] == SCHEMA_VERSION
+            assert m["scale"] == "smoke"
+            assert m["figures"] == ["table1"]
+        assert sorted(manifests[0]["keys"] + manifests[1]["keys"]) == \
+            sorted(expand_figures(["table1"]))
+        # what the planner writes is what a worker reads back
+        paths = write_shard_plan(str(tmp_path / "plan"), manifests)
+        assert [load_shard_manifest(p) for p in paths] == manifests
+
+    def test_empty_bins_are_not_planned(self, smoke_env):
+        """More shards than tasks plans one manifest per task."""
+        specs = select_figures(only=["table1"])
+        manifests, _total = plan_campaign_shards(specs, 13)
+        assert len(manifests) == 5
+        assert all(len(m["keys"]) == 1 for m in manifests)
+
+    def test_plan_is_deterministic(self, tmp_path, smoke_env):
+        specs = select_figures(only=list(SELECTION))
+        first = write_shard_plan(
+            str(tmp_path / "a"), plan_campaign_shards(specs, 2)[0])
+        again = write_shard_plan(
+            str(tmp_path / "b"), plan_campaign_shards(specs, 2)[0])
+        assert [open(p).read() for p in first] == \
+            [open(p).read() for p in again]
+
+    def test_unbuildable_figure_is_skipped_with_a_warning(self,
+                                                          smoke_env):
+        warnings = []
+        specs = [_BrokenSpec()] + select_figures(only=["table1"])
+        manifests, _total = plan_campaign_shards(specs, 2,
+                                                 warn=warnings.append)
+        assert warnings == ["skipping broken: matrix failed to build "
+                            "(bad matrix)"]
+        assert all(m["figures"] == ["table1"] for m in manifests)
+        assert sum(len(m["keys"]) for m in manifests) == 5
+
+    def test_history_weighs_the_plan(self, tmp_path, smoke_env):
+        """With recorded wall times every shard carries an estimate,
+        and the estimates add up to the returned total."""
+        from repro.harness.store import open_store
+        from repro.harness.sweep import run_sweep
+        specs = select_figures(only=list(SELECTION))
+        cold, cold_total = plan_campaign_shards(specs, 2)
+        assert cold_total == 0.0
+        assert all(m["expected_s"] == 0.0 for m in cold)
+        store = open_store(str(tmp_path / "history"))
+        run_sweep(list(expand_figures(list(SELECTION)).values()),
+                  store=store)
+        warm, total = plan_campaign_shards(specs, 2, history_store=store)
+        assert total > 0.0
+        assert all(m["expected_s"] > 0.0 for m in warm)
+        assert sum(m["expected_s"] for m in warm) == \
+            pytest.approx(total, abs=1e-5)
 
 
 class TestSSHRunner:
@@ -266,6 +492,22 @@ class TestOrchestratorLoop:
         page = (tmp_path / "status.html").read_text()
         assert "complete" in page and "http-equiv" not in page
 
+    def test_merge_reads_columnar_shards_under_json_policy(
+            self, tmp_path, smoke_env, monkeypatch):
+        """Shard stores written in the columnar format still merge
+        into a campaign store opened under ``$REPRO_STORE=json``."""
+        class _ColumnarWorkers(_FakeRunner):
+            def launch(self, shard, slot, **kwargs):
+                with scoped_env(REPRO_STORE=None):
+                    return super().launch(shard, slot, **kwargs)
+
+        monkeypatch.setenv("REPRO_STORE", "json")
+        result = _orchestrator(tmp_path,
+                               _ColumnarWorkers(["ok", "ok"])).run()
+        assert result.ok()
+        assert sum(s.merged_keys for s in result.shards) == 7
+        assert result.campaign.executed == 0
+
     def test_crash_retries_and_recovers(self, tmp_path, smoke_env):
         runner = _FakeRunner(["crash", "ok", "ok"])
         result = _orchestrator(tmp_path, runner).run()
@@ -347,3 +589,38 @@ class TestOrchestratorLoop:
     def test_empty_selection_is_an_error(self, tmp_path, smoke_env):
         with pytest.raises(ValueError, match="empty campaign"):
             Orchestrator([], results_dir=str(tmp_path / "r"))
+
+    def test_unbuildable_selection_is_an_error(self, tmp_path,
+                                               smoke_env):
+        runner = _FakeRunner([])
+        orch = Orchestrator([_BrokenSpec()],
+                            results_dir=str(tmp_path / "r"),
+                            runner=runner)
+        with pytest.raises(ValueError, match="planned no tasks"):
+            orch.run()
+        assert runner.launches == []
+        assert any("skipping broken" in e for e in orch.events)
+
+    def test_merged_store_records_each_shard_origin(self, tmp_path,
+                                                    smoke_env):
+        orch = _orchestrator(tmp_path, _FakeRunner(["ok", "ok"]))
+        assert orch.run().ok()
+        manifest = orch.store.manifest()
+        assert len(manifest) == 7
+        assert {e["origin"] for e in manifest.values()} == \
+            {"shard-0/2", "shard-1/2"}
+
+    def test_rerun_merges_nothing_new(self, tmp_path, smoke_env):
+        assert _orchestrator(tmp_path, _FakeRunner([])).run().ok()
+        result = _orchestrator(tmp_path, _FakeRunner([])).run()
+        assert result.ok()
+        assert [s.merged_keys for s in result.shards] == [0, 0]
+        assert result.campaign.executed == 0
+
+    def test_more_shards_than_tasks_merges_everything(self, tmp_path,
+                                                      smoke_env):
+        result = _orchestrator(tmp_path, _FakeRunner([]),
+                               n_shards=16).run()
+        assert result.ok()
+        assert len(result.shards) == 7
+        assert sum(s.merged_keys for s in result.shards) == 7

@@ -21,7 +21,7 @@ import pytest
 
 from repro.harness.backends.schedule import (
     longest_first,
-    wall_time_by_label,
+    wall_time_history,
 )
 from repro.harness.store import (
     BLOCK_MAGIC,
@@ -326,8 +326,8 @@ class TestSchedule:
     })
 
     def test_mean_wall_per_label(self):
-        assert wall_time_by_label(self.STORE) == \
-            {"slow": 10.0, "fast": 1.0}
+        assert wall_time_history(self.STORE) == \
+            {"slow": (10.0, 2), "fast": (1.0, 1)}
 
     def test_longest_expected_first_and_stable(self):
         pending = _pending("fast", "slow", "fast", "slow")
@@ -351,4 +351,4 @@ class TestSchedule:
         assert longest_first(pending, None) == pending
         assert longest_first(pending, _FakeStore({})) == pending
         assert longest_first(pending, _BrokenStore()) == pending
-        assert wall_time_by_label(_BrokenStore()) == {}
+        assert wall_time_history(_BrokenStore()) == {}

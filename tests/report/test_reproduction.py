@@ -69,8 +69,8 @@ class TestRenderReproduction:
                                                       monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert collect_provenance()["backend"] == "serial"
-        assert collect_provenance(backend="batched")["backend"] == \
-            "batched"
+        assert collect_provenance(backend="process")["backend"] == \
+            "process"
         monkeypatch.setenv("REPRO_SHARD", "1/4")
         prov = collect_provenance(backend="process")
         assert prov["shard"] == "1/4"

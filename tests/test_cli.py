@@ -9,7 +9,7 @@ from repro.cli import main
 
 @pytest.fixture(autouse=True)
 def _clean_harness_env():
-    """CLI paths (``--scale``, ``shard run``) export harness env vars
+    """CLI paths (``--scale``, ``orchestrate``) export harness env vars
     for their worker trees; start every test without them and scrub
     whatever the test exported afterwards (monkeypatch.delenv cannot:
     it only undoes changes it made itself, not the CLI's)."""
@@ -117,15 +117,41 @@ class TestSweep:
         assert "[process backend]" in out
 
     def test_backend_flag(self, capsys, tmp_path):
-        code, out = self.sweep(capsys, tmp_path, "--backend", "batched")
+        code, out = self.sweep(capsys, tmp_path, "--backend", "process")
         assert code == 0
-        assert "[batched backend]" in out
+        assert "[process backend]" in out
+
+    def test_serial_backend_reports_one_worker(self, capsys, tmp_path):
+        """The progress line names the executor's real worker count:
+        ``--workers 4`` on the serial backend still runs in-process."""
+        code, out = self.sweep(capsys, tmp_path, "--workers", "4",
+                               "--backend", "serial")
+        assert code == 0
+        assert "to run on 1 worker(s) [serial backend]" in out
+
+    @pytest.mark.parametrize("extra,expected", [
+        ((), "4 to run on 3 worker(s)"),
+        (("--lbs", "reps", "--seeds", "1"), "1 to run on 1 worker(s)"),
+    ], ids=["four-tasks", "one-task"])
+    def test_process_backend_reports_its_workers(self, capsys, tmp_path,
+                                                 extra, expected):
+        """A pool starts at most one worker per pending task, and a
+        single pending task runs inline."""
+        code, out = self.sweep(capsys, tmp_path, "--workers", "3",
+                               "--backend", "process", *extra)
+        assert code == 0
+        assert f"{expected} [process backend]" in out
+
+    def test_removed_backend_name_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            self.sweep(capsys, tmp_path, "--backend", "batched")
+        assert "invalid choice: 'batched'" in capsys.readouterr().err
 
     def test_backend_env_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "shard")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         code, out = self.sweep(capsys, tmp_path)
         assert code == 0
-        assert "[shard backend]" in out
+        assert "[process backend]" in out
 
     def test_unknown_backend_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
@@ -381,295 +407,6 @@ class TestFiguresCampaign:
         assert "| bench scale | `smoke` |" in text
 
 
-class TestShard:
-    """`repro shard plan | run | merge`: the multi-host campaign flow
-    rehearsed over the (cheap) model figures."""
-
-    SELECTION = "table1,fig24"
-
-    def plan(self, capsys, tmp_path, *extra):
-        return run_cli(
-            capsys, "shard", "plan", "--shards", "2",
-            "--only", self.SELECTION, "--scale", "smoke",
-            "--out", str(tmp_path / "plan"), *extra)
-
-    def full_flow(self, capsys, tmp_path):
-        self.plan(capsys, tmp_path)
-        for i in (0, 1):
-            code, out = run_cli(
-                capsys, "shard", "run",
-                str(tmp_path / "plan" / f"shard-{i}.json"),
-                "--store", str(tmp_path / f"shard-{i}"))
-            assert code == 0
-        return run_cli(
-            capsys, "shard", "merge",
-            "--into", str(tmp_path / "merged" / "campaign"),
-            str(tmp_path / "shard-0"), str(tmp_path / "shard-1"))
-
-    def test_plan_is_deterministic(self, capsys, tmp_path):
-        code, out = self.plan(capsys, tmp_path)
-        assert code == 0
-        assert "7 task(s) from 2 figure(s) into 2 shard(s)" in out
-        first = [(tmp_path / "plan" / f"shard-{i}.json").read_text()
-                 for i in (0, 1)]
-        self.plan(capsys, tmp_path)
-        again = [(tmp_path / "plan" / f"shard-{i}.json").read_text()
-                 for i in (0, 1)]
-        assert first == again
-
-    def test_shard_then_merge_reproduces_single_host_run(
-            self, capsys, tmp_path):
-        import json
-        code, out = self.full_flow(capsys, tmp_path)
-        assert code == 0
-        assert "7 artifact(s) (7 newly merged)" in out
-        # the merged store serves a whole campaign without executing
-        code, out = run_cli(
-            capsys, "figures", "run", "--only", self.SELECTION,
-            "--scale", "smoke",
-            "--results-dir", str(tmp_path / "merged"),
-            "--report", str(tmp_path / "R-sharded.md"),
-            "--json", str(tmp_path / "c-sharded.json"))
-        assert code == 0
-        assert "7 tasks (0 executed, 7 cached)" in out
-        # and its tables match a from-scratch single-host campaign
-        code, _ = run_cli(
-            capsys, "figures", "run", "--only", self.SELECTION,
-            "--scale", "smoke",
-            "--results-dir", str(tmp_path / "single"),
-            "--report", str(tmp_path / "R-single.md"),
-            "--json", str(tmp_path / "c-single.json"))
-        assert code == 0
-        sharded = json.loads((tmp_path / "c-sharded.json").read_text())
-        single = json.loads((tmp_path / "c-single.json").read_text())
-        assert [f["table"] for f in sharded["figures"]] == \
-            [f["table"] for f in single["figures"]]
-        assert [f["status"] for f in sharded["figures"]] == \
-            [f["status"] for f in single["figures"]]
-
-    def test_merge_reads_v2_sources_under_json_policy(self, capsys,
-                                                      tmp_path):
-        """Regression (code review): columnar shard stores merged
-        with $REPRO_STORE=json must not silently merge 0 artifacts."""
-        import os
-        self.plan(capsys, tmp_path)
-        for i in (0, 1):
-            code, _ = run_cli(
-                capsys, "shard", "run",
-                str(tmp_path / "plan" / f"shard-{i}.json"),
-                "--store", str(tmp_path / f"shard-{i}"))
-            assert code == 0
-        os.environ["REPRO_STORE"] = "json"  # autouse fixture scrubs it
-        code, out = run_cli(
-            capsys, "shard", "merge",
-            "--into", str(tmp_path / "merged-v1"),
-            str(tmp_path / "shard-0"), str(tmp_path / "shard-1"))
-        assert code == 0
-        assert "7 artifact(s) (7 newly merged)" in out
-
-    def test_merge_is_idempotent(self, capsys, tmp_path):
-        self.full_flow(capsys, tmp_path)
-        code, out = run_cli(
-            capsys, "shard", "merge",
-            "--into", str(tmp_path / "merged" / "campaign"),
-            str(tmp_path / "shard-0"), str(tmp_path / "shard-1"))
-        assert code == 0
-        assert "(0 newly merged)" in out
-
-    def test_merged_manifest_records_shard_origin(self, capsys,
-                                                  tmp_path):
-        from repro.harness.store import open_store
-        self.full_flow(capsys, tmp_path)
-        manifest = open_store(
-            str(tmp_path / "merged" / "campaign")).manifest()
-        assert len(manifest) == 7
-        assert {e["origin"] for e in manifest.values()} == \
-            {"shard-0/2", "shard-1/2"}
-
-    def test_empty_shard_still_merges(self, capsys, tmp_path):
-        """Regression (code review): more shards than tasks left the
-        empty shard's store uncreated, so merging every planned shard
-        store failed."""
-        run_cli(capsys, "shard", "plan", "--shards", "8",
-                "--only", "table1", "--scale", "smoke",
-                "--out", str(tmp_path / "plan"))
-        stores = []
-        for i in range(8):
-            code, _ = run_cli(
-                capsys, "shard", "run",
-                str(tmp_path / "plan" / f"shard-{i}.json"),
-                "--store", str(tmp_path / f"s{i}"))
-            assert code == 0
-            stores.append(str(tmp_path / f"s{i}"))
-        code, out = run_cli(capsys, "shard", "merge",
-                            "--into", str(tmp_path / "m"), *stores)
-        assert code == 0
-        assert "5 artifact(s) (5 newly merged)" in out
-
-    def test_run_refuses_simulator_drift(self, capsys, tmp_path):
-        import json
-        self.plan(capsys, tmp_path)
-        path = tmp_path / "plan" / "shard-0.json"
-        manifest = json.loads(path.read_text())
-        manifest["sim"] = "0" * 16
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(SystemExit, match="does not match"):
-            run_cli(capsys, "shard", "run", str(path),
-                    "--store", str(tmp_path / "s"))
-
-    def test_run_refuses_non_manifest_json(self, capsys, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text("{\"keys\": []}")
-        with pytest.raises(SystemExit, match="not a repro shard"):
-            run_cli(capsys, "shard", "run", str(path),
-                    "--store", str(tmp_path / "s"))
-
-    def test_merge_rejects_missing_source(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="not a.*store"):
-            run_cli(capsys, "shard", "merge",
-                    "--into", str(tmp_path / "m"),
-                    str(tmp_path / "ghost"))
-
-    def test_plan_rejects_empty_selection(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="selected no figures"):
-            run_cli(capsys, "shard", "plan", "--only", "table1",
-                    "--skip", "table1",
-                    "--out", str(tmp_path / "plan"))
-
-    def test_plan_rejects_unknown_figure(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="figures list"):
-            run_cli(capsys, "shard", "plan", "--only", "fig99",
-                    "--out", str(tmp_path / "plan"))
-
-    def test_run_scopes_shard_identity(self, capsys, tmp_path):
-        """Regression (ISSUE 10): `shard run` exports $REPRO_SHARD /
-        $REPRO_BENCH_SCALE only for the duration of the run.  It used
-        to leave both behind, so a later in-process run (tests, the
-        orchestrator) inherited a stale shard identity and scale in
-        its provenance header."""
-        import os
-
-        from repro.harness.store import open_store
-        from repro.report import collect_provenance
-        self.plan(capsys, tmp_path)
-        assert "REPRO_SHARD" not in os.environ
-        assert "REPRO_BENCH_SCALE" not in os.environ
-        code, _ = run_cli(
-            capsys, "shard", "run",
-            str(tmp_path / "plan" / "shard-1.json"),
-            "--store", str(tmp_path / "s1"))
-        assert code == 0
-        # the run itself saw the identity: the store records it
-        manifest = open_store(str(tmp_path / "s1")).manifest()
-        assert {e["origin"] for e in manifest.values()} == {"shard-1/2"}
-        # ...but nothing leaked into this process
-        assert "REPRO_SHARD" not in os.environ
-        assert "REPRO_BENCH_SCALE" not in os.environ
-        assert collect_provenance()["shard"] == ""
-        # and a value that existed before the run is restored, not
-        # clobbered
-        os.environ["REPRO_BENCH_SCALE"] = "full"
-        os.environ["REPRO_SHARD"] = "9/9"
-        run_cli(capsys, "shard", "run",
-                str(tmp_path / "plan" / "shard-0.json"),
-                "--store", str(tmp_path / "s0"))
-        assert os.environ["REPRO_BENCH_SCALE"] == "full"
-        assert os.environ["REPRO_SHARD"] == "9/9"
-
-    def test_merge_rejects_non_store_directory(self, capsys, tmp_path):
-        """Regression (ISSUE 10): a directory that exists but is not a
-        store used to surface a raw traceback mid-merge; now it fails
-        cleanly, naming the bad source, before anything merges."""
-        bogus = tmp_path / "not-a-store"
-        bogus.mkdir()
-        (bogus / "README.txt").write_text("just some directory\n")
-        with pytest.raises(SystemExit, match="not-a-store is not a"):
-            run_cli(capsys, "shard", "merge",
-                    "--into", str(tmp_path / "m"), str(bogus))
-        # pre-flight validation: nothing was merged into the dest
-        assert not (tmp_path / "m").exists() or \
-            not list((tmp_path / "m").iterdir())
-
-    def test_merge_validates_before_merging(self, capsys, tmp_path):
-        """A bad source anywhere in the list fails the merge before
-        source 0 lands — no half-merged destination."""
-        import os
-        self.plan(capsys, tmp_path)
-        code, _ = run_cli(
-            capsys, "shard", "run",
-            str(tmp_path / "plan" / "shard-0.json"),
-            "--store", str(tmp_path / "shard-0"))
-        assert code == 0
-        bogus = tmp_path / "junk"
-        bogus.mkdir()
-        (bogus / "data.bin").write_text("x")
-        with pytest.raises(SystemExit, match="junk is not a"):
-            run_cli(capsys, "shard", "merge",
-                    "--into", str(tmp_path / "m"),
-                    str(tmp_path / "shard-0"), str(bogus))
-        dest = tmp_path / "m"
-        assert not dest.exists() or not os.listdir(dest)
-
-    def test_merge_failure_names_source_and_reports_progress(
-            self, capsys, tmp_path):
-        """A source that passes pre-flight but blows up mid-merge
-        produces a summary of what landed, not a traceback."""
-        from unittest import mock
-
-        from repro.harness.store import ColumnarStore
-        self.plan(capsys, tmp_path)
-        for i in (0, 1):
-            code, _ = run_cli(
-                capsys, "shard", "run",
-                str(tmp_path / "plan" / f"shard-{i}.json"),
-                "--store", str(tmp_path / f"shard-{i}"))
-            assert code == 0
-        real = ColumnarStore.merge_from
-        calls = {"n": 0}
-
-        def flaky(self, source):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("disk on fire")
-            return real(self, source)
-
-        with mock.patch.object(ColumnarStore, "merge_from", flaky):
-            with pytest.raises(SystemExit) as err:
-                run_cli(capsys, "shard", "merge",
-                        "--into", str(tmp_path / "m"),
-                        str(tmp_path / "shard-0"),
-                        str(tmp_path / "shard-1"))
-        message = str(err.value)
-        assert "shard-1 failed" in message
-        assert "merged 1/2 source(s)" in message
-        assert "disk on fire" in message
-        # the partial merge is safe: re-running the same command
-        # completes the destination
-        code, out = run_cli(capsys, "shard", "merge",
-                            "--into", str(tmp_path / "m"),
-                            str(tmp_path / "shard-0"),
-                            str(tmp_path / "shard-1"))
-        assert code == 0
-        assert "7 artifact(s)" in out
-
-    def test_drift_refusal_runs_nothing(self, capsys, tmp_path):
-        """Backfill (ISSUE 5): the simulator-drift refusal must fire
-        before any task executes — no store directory, no artifacts,
-        no $REPRO_SHARD export."""
-        import json
-        import os
-        self.plan(capsys, tmp_path)
-        path = tmp_path / "plan" / "shard-0.json"
-        manifest = json.loads(path.read_text())
-        manifest["sim"] = "f" * 16
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(SystemExit, match="re-plan"):
-            run_cli(capsys, "shard", "run", str(path),
-                    "--store", str(tmp_path / "never"))
-        assert not (tmp_path / "never").exists()
-        assert "REPRO_SHARD" not in os.environ
-
-
 class TestOrchestrate:
     """`repro orchestrate`: the elastic campaign, end-to-end with real
     subprocess workers."""
@@ -744,6 +481,12 @@ class TestOrchestrate:
             run_cli(capsys, "orchestrate", "--only", "table1",
                     "--skip", "table1",
                     "--results-dir", str(tmp_path / "r"))
+
+    def test_rejects_unknown_figure(self, capsys, tmp_path):
+        with pytest.raises(SystemExit, match="figures list"):
+            run_cli(capsys, "orchestrate", "--only", "fig99",
+                    "--results-dir", str(tmp_path / "r"))
+        assert not (tmp_path / "r").exists()
 
     def test_ssh_runner_needs_hosts(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="needs --ssh-hosts"):
@@ -943,3 +686,9 @@ class TestParser:
     def test_rejects_unknown_pattern(self):
         with pytest.raises(SystemExit):
             main(["run", "--pattern", "gather"])
+
+    def test_rejects_removed_shard_verb(self, capsys):
+        """Multi-host runs go through `orchestrate --runner ssh`."""
+        with pytest.raises(SystemExit):
+            main(["shard", "plan"])
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
