@@ -1,9 +1,10 @@
 """Core perf micro-benchmarks — the simulator's hot-path speed.
 
 Unlike the per-figure benchmarks this one measures the *simulator
-itself*: the five scenarios of :mod:`repro.harness.perf` (full-stack
-spray / incast+trim / RTO-under-failure packet runs, plus the
-scheduler-only event-chain and timer-storm workloads).  The table
+itself*: the scenarios of :mod:`repro.harness.perf` (full-stack
+spray / incast+trim / RTO-under-failure packet runs, the
+scheduler-only event-chain, timer-storm and sparse-timer workloads,
+and the campaign-store workloads).  The table
 reports throughput and, when a committed ``perf.json`` is present,
 the drift against it — informational here; the hard gate is
 ``repro perf trend perf.json <fresh>`` in CI.

@@ -902,10 +902,23 @@ def _cmd_footprint(args: argparse.Namespace) -> int:
 def _cmd_perf_run(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .harness.perf import QUICK_SCALE, render_record, run_perf
+    from .harness.perf import (QUICK_SCALE, render_record, run_perf,
+                               scenario_names)
 
+    # validate everything before the first scenario runs: a bad name
+    # must not surface as a KeyError after minutes of benchmarking
+    known = scenario_names()
     names = args.only.split(",") if args.only else None
+    unknown = [n for n in names or () if n not in known]
+    if unknown:
+        raise SystemExit(f"repro perf run: unknown scenario(s) "
+                         f"{', '.join(unknown)}; known: "
+                         f"{', '.join(known)}")
+    if args.repeats < 1:
+        raise SystemExit("repro perf run: --repeats must be >= 1")
     scale = args.scale if args.scale is not None else QUICK_SCALE
+    if scale < 1:
+        raise SystemExit("repro perf run: --scale must be >= 1")
     record = run_perf(scale=scale, repeats=args.repeats, names=names)
     print(render_record(record))
     if args.json_path:

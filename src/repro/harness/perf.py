@@ -9,9 +9,10 @@ trend`` diffs a fresh capture against it.  Two kinds of scenario:
   ``Engine.run`` through ``EgressPort`` and the switches to the
   transport's ACK/EV handling.  Metric: simulated packets per second.
 - **engine** — scheduler-only workloads (event chains, RTO-style timer
-  rearm storms) that isolate the time-wheel and the recycled-shell
+  rearm storms, sparse RTO timers on an otherwise idle wheel) that
+  isolate the time-wheel and the recycled-shell
   :class:`~repro.sim.engine.Timer` from the packet pipeline.  Metric:
-  driver units (events / simulated packets) per second.
+  workload units (events / simulated packets / timer fires) per second.
 - **store** — campaign-store workloads on a synthetic model campaign
   (populate, cold ``open``+``manifest()``, shard-style merge) that
   track the :class:`~repro.harness.store.ColumnarStore` v3 fast path.
@@ -174,6 +175,35 @@ def _run_timer_storm(scale: int) -> dict:
         "units": n_units,
         "wall_s": round(wall, 4),
         "units_per_s": round(n_units / wall, 1),
+    }
+
+
+def _run_engine_sparse(scale: int) -> dict:
+    """The wheel on a dead path: 13 RTO-style Timers, each re-armed
+    70 us after it fires, over ``scale`` x 12.5 ms of simulated time
+    with nothing else queued — the load of pinned flows retransmitting
+    on a failed cable.  Nearly every 32.768 ns slot is empty, so this
+    times how the wheel crosses idle gaps, not how it drains buckets."""
+    rto = 70_000_000
+    eng = Engine()
+    fires = [0]
+
+    def fire(k: int) -> None:
+        fires[0] += 1
+        timers[k].arm_after(rto)
+
+    timers = [Timer(eng, lambda k=k: fire(k)) for k in range(13)]
+    for k, timer in enumerate(timers):
+        timer.arm_at(k * 5_000_000)
+    t0 = time.perf_counter()
+    eng.run(until_ps=12_500_000_000 * scale)
+    wall = time.perf_counter() - t0
+    return {
+        "kind": "engine",
+        "events": eng.events_executed,
+        "units": fires[0],
+        "wall_s": round(wall, 4),
+        "units_per_s": round(fires[0] / wall, 1),
     }
 
 
@@ -390,6 +420,7 @@ SCENARIOS: Dict[str, Callable[[int], dict]] = {
     "rto_failure": lambda scale: _run_network(_net_rto_failure, scale),
     "engine_chain": _run_event_chain,
     "engine_timer_storm": _run_timer_storm,
+    "engine_sparse": _run_engine_sparse,
     "store_populate": _run_store_populate,
     "store_cold_read": _run_store_cold_read,
     "store_merge": _run_store_merge,

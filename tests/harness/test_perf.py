@@ -8,6 +8,7 @@ import pytest
 
 from repro.harness.perf import (
     DETERMINISTIC_FIELDS,
+    SCENARIOS,
     SCHEMA,
     diff_perf,
     load_record,
@@ -161,6 +162,26 @@ class TestPerfCli:
         assert code == 0
         assert "engine_chain" in out
         assert load_record(str(out_path))["scale"] == 1
+
+    def test_perf_run_rejects_unknown_scenario_before_running(
+            self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(SCENARIOS, "engine_chain",
+                            lambda scale: ran.append(scale))
+        with pytest.raises(SystemExit) as exc:
+            self._run(capsys, "perf", "run", "--scale", "1", "--repeats",
+                      "1", "--only", "engine_chain,nope")
+        msg = str(exc.value.code)
+        assert "nope" in msg and "engine_sparse" in msg
+        assert ran == []  # nothing ran before the bad name was caught
+
+    @pytest.mark.parametrize("flag", ["--repeats", "--scale"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_perf_run_rejects_non_positive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            self._run(capsys, "perf", "run", "--only", "engine_chain",
+                      flag, value)
+        assert f"{flag} must be >= 1" in str(exc.value.code)
 
     def test_trend_clean_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "perf.json"

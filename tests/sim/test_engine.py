@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,3 +283,147 @@ class TestPendingAccounting:
         engine.run()
         assert engine.pending() == 0
         assert engine.pending_live() == 0
+
+
+class _HeapEngine:
+    """Reference executor: one ``heapq`` ordered by ``(time, seq)``.
+
+    It offers the scheduling surface :class:`Timer` uses (``now``,
+    ``_seq``, ``_stale``, ``_push``), so the same Timer logic runs on
+    both executors and any divergence is the wheel's.
+    """
+
+    def __init__(self):
+        self.now = 0
+        self._seq = 0
+        self._stale = 0
+        self._heap = []
+
+    def at(self, time_ps, fn, *args):
+        assert time_ps >= self.now
+        self._seq += 1
+        self._push(time_ps, self._seq, fn, args)
+
+    def _push(self, time_ps, seq, fn, args):
+        heapq.heappush(self._heap, (time_ps, seq, fn, args))
+
+    def run(self, until_ps=None, max_events=None):
+        executed = 0
+        while self._heap:
+            if max_events is not None and executed >= max_events:
+                break
+            if until_ps is not None and self._heap[0][0] > until_ps:
+                self.now = max(self.now, until_ps)
+                break
+            time_ps, _, fn, args = heapq.heappop(self._heap)
+            self.now = time_ps
+            fn(*args)
+            executed += 1
+        return executed
+
+    def pending(self):
+        return len(self._heap)
+
+    def pending_live(self):
+        return len(self._heap) - self._stale
+
+
+#: wheel horizon: 4096 slots of 2**15 ps
+_HORIZON = 4096 << 15
+_RTO = 70_000_000
+
+_delays = st.one_of(
+    st.just(0),                                  # same instant
+    st.integers(0, 4 << 15),                     # same / adjacent slots
+    st.integers(0, _HORIZON - 1),                # near (under ~134 us)
+    st.integers(_HORIZON, 40 * _HORIZON),        # far (overflow heap)
+)
+_child = st.one_of(
+    st.tuples(st.just("at"), _delays),
+    st.tuples(st.just("arm"), st.integers(0, 3), _delays),
+    st.tuples(st.just("cancel"), st.integers(0, 3)),
+)
+_op = st.one_of(
+    st.tuples(st.just("at"), _delays,
+              st.lists(_child, max_size=3).map(tuple)),
+    st.tuples(st.just("arm"), st.integers(0, 3), _delays),
+    st.tuples(st.just("cancel"), st.integers(0, 3)),
+    st.tuples(st.just("run"),
+              st.one_of(st.none(), _delays),
+              st.one_of(st.none(), st.integers(0, 12))),
+    # an until_ps stop followed by a schedule at `now`: the event lands
+    # behind a cursor that already sits at the next occupied slot
+    st.tuples(st.just("stop_then_now"), _delays),
+)
+
+
+def _play(eng, program):
+    """Run ``program`` on ``eng``; return everything observable."""
+    log = []
+    timers = []
+
+    def act(child, tag):
+        if child[0] == "at":
+            eng.at(eng.now + child[1], leaf, tag)
+        elif child[0] == "arm":
+            timers[child[1]].arm_at(eng.now + child[2])
+        else:
+            timers[child[1]].cancel()
+
+    def leaf(tag):
+        log.append((tag, eng.now))
+
+    def parent(tag, children):
+        log.append((tag, eng.now))
+        for i, child in enumerate(children):
+            act(child, f"{tag}.{i}")
+
+    def make_fire(k):
+        def fire():
+            log.append((f"timer{k}", eng.now))
+            fires[k] += 1
+            if fires[k] < 3:  # RTO-style re-arm, a few rounds
+                timers[k].arm_after(_RTO)
+        return fire
+
+    fires = [0] * 4
+    timers.extend(Timer(eng, make_fire(k)) for k in range(4))
+    for n, op in enumerate(program):
+        kind = op[0]
+        if kind == "at":
+            eng.at(eng.now + op[1], parent, f"e{n}", op[2])
+        elif kind in ("arm", "cancel"):
+            act(op, f"e{n}")
+        elif kind == "run":
+            until = None if op[1] is None else eng.now + op[1]
+            done = eng.run(until_ps=until, max_events=op[2])
+            log.append(("run", done, eng.now, eng.pending(),
+                        eng.pending_live()))
+        else:
+            eng.run(until_ps=eng.now + op[1])
+            eng.at(eng.now, leaf, f"e{n}@now")
+            log.append(("stop", eng.now, eng.pending(),
+                        eng.pending_live()))
+    done = eng.run()
+    log.append(("drain", done, eng.now, eng.pending(), eng.pending_live()))
+    return log
+
+
+class TestOrderMatchesHeapReference:
+    """The wheel — occupied-slot jumps, overflow refills, the clamp
+    into the cursor's bucket — executes exactly the ``(time, seq)``
+    order of a plain binary heap."""
+
+    @given(program=st.lists(_op, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_wheel_matches_heap(self, program):
+        assert _play(Engine(), program) == _play(_HeapEngine(), program)
+
+    def test_clamp_after_stop_runs_first(self):
+        # the stop leaves the cursor at the far event's slot, ahead of
+        # `now`; an event scheduled at `now` must still run first
+        program = [("at", 3 * _HORIZON, ()), ("stop_then_now", _HORIZON)]
+        log = _play(Engine(), program)
+        assert log == _play(_HeapEngine(), program)
+        assert [e[0] for e in log if e[0].startswith("e")] == ["e1@now",
+                                                               "e0"]

@@ -1,12 +1,13 @@
 """Golden event-trace determinism.
 
-Three small end-to-end scenarios — a symmetric spray, an incast with
-trimming, and an RTO run under a cable failure — are traced at every
-host's dispatch point and hashed.  The committed SHA-256 digests were
-captured from the pre-time-wheel binary-heap engine, so these tests pin
-the scheduler rewrite (and any future hot-path work) to **bit-identical
-event order**: same arrival times, same EV draws, same ECN marks, same
-ACK interleavings.
+Seven small end-to-end scenarios — a symmetric spray, an incast with
+trimming, an RTO run under a cable failure, one run per arena policy
+(RepFlow, PRIME, Sprinklers) and ECMP pinned on a dead cable — are
+traced at every host's dispatch point and hashed.  The first three
+digests were captured from the pre-time-wheel binary-heap engine, the
+others at their introduction, so these tests pin the scheduler (and any
+future hot-path work) to **bit-identical event order**: same arrival
+times, same EV draws, same ECN marks, same ACK interleavings.
 
 Everything downstream rests on this — the sweep harness's content-keyed
 artifact cache, serial==parallel backend equivalence, and ``repro
@@ -42,6 +43,10 @@ GOLDEN = {
               "e0a8d479384e2c94627fb157eb75be7e", 256),
     "sprinklers": ("9986c99c49c429e9939a927119b73b75"
                    "041b22f48382bd52ec2824dc254ca5c3", 256),
+    # captured before the wheel learned to jump empty slots: the only
+    # golden that spends long stretches on RTO events alone
+    "pinned": ("de8d2672f56281de47044c32a2e577fa"
+               "c5cf1db5e7c5d0ce5840b9912b57e6a8", 507),
 }
 
 
@@ -124,13 +129,33 @@ def golden_sprinklers():
     return _golden_policy("sprinklers", seed=19, msg_bytes=64 * 1024)
 
 
+def golden_pinned():
+    """ECMP pinned on a cable that fails at 5 us with no routing update:
+    half the flows finish, the other half retransmit every RTO until
+    the 5 ms horizon, so the wheel is almost empty for most of the run.
+    Returns the network, its metrics and the trace."""
+    cfg = NetworkConfig(
+        topo=TopologyParams(n_hosts=8, hosts_per_t0=4, link_gbps=100.0),
+        lb="ecmp", seed=5)
+    net, trace = _traced(cfg)
+    net.failures.fail_cable(net.tree.t0_uplink_cables()[0],
+                            at_ps=us_to_ps(5.0))
+    for s in range(8):
+        net.add_flow(s, (s + 4) % 8, 64 * 1024)
+    m = net.run(max_us=5_000.0)
+    return net, m, trace
+
+
 _SCENARIOS = {"spray": golden_spray, "trim": golden_trim,
               "rto": golden_rto, "repflow": golden_repflow,
               "prime": golden_prime, "sprinklers": golden_sprinklers}
 
 
 def _check(name):
-    trace = _SCENARIOS[name]()
+    _check_trace(name, _SCENARIOS[name]())
+
+
+def _check_trace(name, trace):
     digest = hashlib.sha256(repr(trace).encode()).hexdigest()
     want_digest, want_n = GOLDEN[name]
     assert len(trace) == want_n, (
@@ -165,6 +190,14 @@ def test_golden_prime_trace():
 
 def test_golden_sprinklers_trace():
     _check("sprinklers")
+
+
+def test_golden_pinned_trace():
+    net, m, trace = golden_pinned()
+    _check_trace("pinned", trace)
+    assert net.engine.events_executed == 10_284
+    assert net.engine.now == 5_000_000_000
+    assert (m.flows_completed, m.timeouts) == (4, 1_275)
 
 
 def test_traces_are_reproducible_in_process():
