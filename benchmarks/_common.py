@@ -72,12 +72,7 @@ def bench_workers() -> int:
 
 def _store(name: str) -> Optional[ResultStore]:
     if os.environ.get("REPRO_BENCH_CACHE"):
-        try:
-            return open_store(os.path.join(RESULTS_DIR, "sweeps", name))
-        except ValueError as exc:
-            # malformed $REPRO_STORE: fail like the CLI does, not with
-            # a traceback from inside a benchmark run
-            raise SystemExit(f"benchmarks: {exc}")
+        return open_store(os.path.join(RESULTS_DIR, "sweeps", name))
     return None
 
 
@@ -88,10 +83,7 @@ def _figure_store() -> Optional[ResultStore]:
     deliberately keeps per-figure store subdirs: its `--prune`
     keep-set would otherwise delete other figures' artifacts.)"""
     if os.environ.get("REPRO_BENCH_CACHE"):
-        try:
-            return shared_store(os.path.join(RESULTS_DIR, "sweeps"))
-        except ValueError as exc:
-            raise SystemExit(f"benchmarks: {exc}")
+        return shared_store(os.path.join(RESULTS_DIR, "sweeps"))
     return None
 
 

@@ -61,7 +61,8 @@ from .core.footprint import compute_footprint
 from .core.reps import RepsConfig
 from .harness.backends import backend_names
 from .harness.report import format_sweep_table, format_table
-from .harness.sweep import ResultStore, SweepGrid, WorkloadSpec, run_sweep
+from .harness.store import ColumnarStore, open_store
+from .harness.sweep import SweepGrid, WorkloadSpec, run_sweep
 from .sim.network import Network, NetworkConfig
 from .sim.topology import TopologyParams
 from .workloads.synthetic import incast, permutation, tornado
@@ -313,9 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     store_sub = store_p.add_subparsers(dest="store_command",
                                        required=True)
     cp_p = store_sub.add_parser(
-        "compact", help="rewrite the store as one columnar segment "
-                        "file (absorbs legacy JSON artifacts, drops "
-                        "shadowed duplicate records)")
+        "compact", help="rewrite the store's segment file, dropping "
+                        "shadowed duplicate records")
     cp_p.add_argument("root", help="store directory (e.g. "
                                    "<results-dir>/campaign)")
     in_p = store_sub.add_parser("inspect", help="store statistics")
@@ -425,17 +425,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _open_store(root: str, **kwargs) -> ResultStore:
-    """Open a store under the ``$REPRO_STORE`` format policy, failing
-    a command cleanly on a malformed env var."""
-    from .harness.store import open_store
-
-    try:
-        return open_store(root, **kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"repro: {exc}")
-
-
 def _check_backend_env() -> None:
     """Fail a sweep-running command cleanly on a bad ``$REPRO_BACKEND``
     (``--backend`` is argparse-validated; the env var is not)."""
@@ -469,8 +458,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # `--evs 64,65536` run
         axes={"evs_size": evs_sizes},
     )
-    store = _open_store(os.path.join(args.results_dir, args.name),
-                        fresh=args.fresh)
+    store = open_store(os.path.join(args.results_dir, args.name),
+                       fresh=args.fresh)
     results = run_sweep(grid, workers=args.workers, store=store,
                         progress=True, backend=args.backend)
     print(format_sweep_table(
@@ -668,8 +657,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         if args.no_cache:
             store = None
         else:
-            store = _open_store(os.path.join(args.results_dir, fig_id),
-                                fresh=args.fresh)
+            store = open_store(os.path.join(args.results_dir, fig_id),
+                               fresh=args.fresh)
         result = run_figure(spec, workers=workers, store=store,
                             progress=True, backend=args.backend)
         headers, rows, notes = result.table_doc()
@@ -780,44 +769,29 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from .harness.store import STORE_ENV, ColumnarStore
-
-    if not os.path.isdir(args.root):
+    # a store is exactly a directory holding a segment file: refuse
+    # anything else before a maintenance verb writes into it
+    if not os.path.isfile(os.path.join(args.root, ColumnarStore.SEGMENT)):
         raise SystemExit(f"repro store: {args.root} is not a store "
-                         f"directory")
+                         f"directory (no {ColumnarStore.SEGMENT})")
     store = ColumnarStore(args.root)
     if args.store_command == "compact":
-        if os.environ.get(STORE_ENV, "").strip().lower() in \
-                ("json", "v1"):
-            # compacting moves everything into the segment file, which
-            # a json-pinned pipeline cannot read — the whole cache
-            # would silently vanish on the next run
-            raise SystemExit(
-                f"repro store compact: {STORE_ENV}=json pins the "
-                f"legacy format, which cannot read compacted "
-                f"segments; unset it first")
         stats = store.compact()
         before, after = stats["before"], stats["after"]
         saved = before["bytes"] - after["bytes"]
         pct = (saved / before["bytes"] * 100) if before["bytes"] else 0.0
         print(f"compacted {args.root}: {stats['records_written']} "
-              f"record(s) in {after['blocks']} block(s), "
-              f"{stats['json_absorbed']} JSON artifact(s) absorbed")
+              f"record(s) in {after['blocks']} block(s)")
         print(f"bytes: {before['bytes']:,} -> {after['bytes']:,} "
               f"({pct:+.0f}% saved)")
         return 0
     if args.store_command == "inspect":
         stats = store.stats()
-        fmt = stats["format"]
         rows = [["keys", stats["keys"]],
                 ["segment records", stats["records"]],
                 ["shadowed duplicates", stats["duplicates"]],
-                ["segment blocks",
-                 f"{stats['blocks']} (v2: {fmt['v2_blocks']}, "
-                 f"v3: {fmt['v3_blocks']})"],
-                ["segment bytes", f"{stats['segment_bytes']:,}"],
-                ["legacy JSON artifacts", stats["legacy_json"]],
-                ["legacy JSON bytes", f"{stats['json_bytes']:,}"],
+                ["segment blocks", stats["blocks"]],
+                ["segment bytes", f"{stats['bytes']:,}"],
                 ["manifest entries", len(store.manifest())]]
         if stats["tasks_timed"]:
             rows.append(["timed tasks",
@@ -845,17 +819,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print("[TORN] the segment has an unreadable tail — the "
                   "counts above cover only the readable prefix; run "
                   "`repro store verify` for details")
-        if stats["legacy_json"] or stats["duplicates"]:
-            print("hint: `repro store compact` folds legacy JSON "
-                  "artifacts into the segment file and drops "
-                  "shadowed duplicates")
+        if stats["duplicates"]:
+            print("hint: `repro store compact` drops shadowed "
+                  "duplicates")
         return 0
     report = store.verify()
     print(f"store {args.root}: {report['blocks']} block(s), "
           f"{report['records']} record(s), {report['unique_keys']} "
           f"unique key(s), {report['duplicate_records']} shadowed "
-          f"duplicate(s), {report['legacy_json']} legacy JSON "
-          f"artifact(s)")
+          f"duplicate(s)")
     for message in report["errors"]:
         print(f"[CORRUPT] {message}")
     for key in report["key_mismatches"]:

@@ -300,12 +300,7 @@ def run_shard_worker(manifest_path: str, store_dir: str, *,
         except (KeyError, ValueError) as exc:
             say(f"worker: {exc}")
             return EXIT_FATAL
-        try:
-            store = open_store(store_dir,
-                               origin=shard_origin(manifest))
-        except ValueError as exc:
-            say(f"worker: {exc}")
-            return EXIT_FATAL
+        store = open_store(store_dir, origin=shard_origin(manifest))
         os.makedirs(store.root, exist_ok=True)
 
         # the cache check mirrors run_sweep: a retried shard re-opens

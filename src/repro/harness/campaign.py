@@ -7,7 +7,7 @@ This module is the engine behind it:
    (``--only/--skip/--tag``) into an ordered campaign plan.
 2. :func:`run_campaign` executes each :class:`FigureSpec` through the
    existing sweep harness against **one shared cross-figure**
-   :class:`~repro.harness.sweep.ResultStore`.  Task artifacts are
+   :class:`~repro.harness.store.ColumnarStore`.  Task artifacts are
    content-keyed, so figures that share scenarios (e.g. a common
    baseline sweep) simulate once and hit the cache everywhere else —
    and an interrupted campaign resumes where it stopped.
@@ -64,11 +64,8 @@ def shared_store(results_dir: str, *, fresh: bool = False) -> ResultStore:
     One flat namespace for every figure: content keys already encode
     the full task identity (parameters + schema + simulator hash), so
     a shared namespace is safe and is what makes cross-figure dedup
-    work.  The store format follows :func:`~repro.harness.store.
-    open_store` policy — columnar (v2) by default, ``REPRO_STORE=json``
-    for the legacy one-JSON-per-task layout; either way legacy
-    directories keep serving reads.  ``fresh`` re-runs every task but
-    still persists the results.
+    work.  ``fresh`` re-runs every task but still persists the
+    results.
     """
     return open_store(os.path.join(results_dir, CAMPAIGN_STORE_DIR),
                       fresh=fresh)

@@ -28,7 +28,7 @@ filesystem:
    torn-tail self-healing and content-keyed, so a partial store is
    never corrupt, only incomplete.
 4. **Merge + report.**  Each finished shard streams back through
-   ``ResultStore.merge_from`` the moment it lands (idempotent,
+   ``ColumnarStore.merge_from`` the moment it lands (idempotent,
    order-free), a live status page re-renders on every state change
    (:mod:`repro.report.live`), and once every shard merged the normal
    campaign runner renders ``REPRODUCTION.md`` + ``campaign.json``
@@ -542,11 +542,9 @@ class Orchestrator:
         return handle
 
     def _merge(self, shard: ShardRun) -> None:
-        # sources open read-compatible whatever $REPRO_STORE says
-        # about the destination
-        from .store import ColumnarStore
+        from .store import open_store
 
-        merged = self.store.merge_from(ColumnarStore(shard.store_dir))
+        merged = self.store.merge_from(open_store(shard.store_dir))
         shard.merged_keys = len(merged)
         shard.status = "merged"
         shard.wall_s += time.monotonic() - shard.started_at

@@ -15,12 +15,10 @@ trend`` diffs a fresh capture against it.  Two kinds of scenario:
   workload units (events / simulated packets / timer fires) per second.
 - **store** — campaign-store workloads on a synthetic model campaign
   (populate, cold ``open``+``manifest()``, shard-style merge) that
-  track the :class:`~repro.harness.store.ColumnarStore` v3 fast path.
-  Metric: tasks per second; each record also carries informational
-  v2-vs-v3 comparison fields (``open_speedup_vs_v2``,
-  ``bytes_ratio``) measured in the same process — informational
-  because segment size depends on the host's zlib, not just the
-  simulator.
+  track the :class:`~repro.harness.store.ColumnarStore` fast path.
+  Metric: tasks per second; ``store_populate`` also records the
+  segment size (``bytes``) — informational, because it depends on the
+  host's zlib/lzma, not just the simulator.
 
 The gate has two tiers.  The *deterministic* fields of a scenario
 (packet/event counts, completed flows, simulated time) are pure
@@ -317,12 +315,11 @@ def _store_records(n: int) -> Tuple[List[Tuple[str, dict]],
     return records, stats
 
 
-def _store_populate(root: str, records, stats,
-                    segment_format: int) -> float:
+def _store_populate(root: str, records, stats) -> float:
     """Write ``records`` in ``put_many`` chunks of compaction-block
     size; returns the wall seconds spent."""
     t0 = time.perf_counter()
-    st = ColumnarStore(root, segment_format=segment_format)
+    st = ColumnarStore(root)
     for i in range(0, len(records), _STORE_CHUNK):
         chunk = records[i:i + _STORE_CHUNK]
         st.put_many(chunk,
@@ -335,56 +332,37 @@ def _seg_bytes(root: str) -> int:
 
 
 def _run_store_populate(scale: int) -> dict:
-    """Chunked ``put_many`` of the synthetic campaign, v3 vs v2."""
+    """Chunked ``put_many`` of the synthetic campaign."""
     n = _STORE_TASKS_PER_SCALE * scale
     records, stats = _store_records(n)
     with tempfile.TemporaryDirectory(prefix="repro-perf-store-") as tmp:
-        wall = _store_populate(os.path.join(tmp, "v3"), records, stats, 3)
-        v2_wall = _store_populate(os.path.join(tmp, "v2"), records,
-                                  stats, 2)
-        nbytes = _seg_bytes(os.path.join(tmp, "v3"))
-        v2_bytes = _seg_bytes(os.path.join(tmp, "v2"))
+        wall = _store_populate(tmp, records, stats)
+        nbytes = _seg_bytes(tmp)
     return {
         "kind": "store",
         "units": n,
         "wall_s": round(wall, 4),
         "units_per_s": round(n / wall, 1),
-        "v2_wall_s": round(v2_wall, 4),
         "bytes": nbytes,
-        "v2_bytes": v2_bytes,
-        "bytes_ratio": round(nbytes / v2_bytes, 4),
     }
 
 
 def _run_store_cold_read(scale: int) -> dict:
     """Cold ``open`` + ``manifest()`` — the every-campaign-start cost
-    the v3 meta-only frame scan exists for."""
+    the meta-only frame scan exists for."""
     n = _STORE_TASKS_PER_SCALE * scale
     records, stats = _store_records(n)
     with tempfile.TemporaryDirectory(prefix="repro-perf-store-") as tmp:
-        v3_root = os.path.join(tmp, "v3")
-        v2_root = os.path.join(tmp, "v2")
-        _store_populate(v3_root, records, stats, 3)
-        _store_populate(v2_root, records, stats, 2)
-
+        _store_populate(tmp, records, stats)
         t0 = time.perf_counter()
-        st = ColumnarStore(v3_root)
-        manifest = st.manifest()
+        manifest = ColumnarStore(tmp).manifest()
         wall = time.perf_counter() - t0
         assert len(manifest) == n
-
-        t0 = time.perf_counter()
-        st2 = ColumnarStore(v2_root)
-        manifest2 = st2.manifest()
-        v2_wall = time.perf_counter() - t0
-        assert len(manifest2) == n
     return {
         "kind": "store",
         "units": n,
         "wall_s": round(wall, 4),
         "units_per_s": round(n / wall, 1),
-        "v2_wall_s": round(v2_wall, 4),
-        "open_speedup_vs_v2": round(v2_wall / wall, 2) if wall else 0.0,
     }
 
 
@@ -397,8 +375,8 @@ def _run_store_merge(scale: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-perf-store-") as tmp:
         a_root = os.path.join(tmp, "a")
         b_root = os.path.join(tmp, "b")
-        _store_populate(a_root, records[:half], stats, 3)
-        _store_populate(b_root, records[half:], stats, 3)
+        _store_populate(a_root, records[:half], stats)
+        _store_populate(b_root, records[half:], stats)
         t0 = time.perf_counter()
         dest = ColumnarStore(os.path.join(tmp, "merged"))
         dest.merge_from(ColumnarStore(a_root))
@@ -544,12 +522,7 @@ def render_record(record: dict) -> str:
                 f"{sc['events_per_s']:>14,.0f} ev/s "
                 f"(wall {sc['wall_s']:.3f}s)")
         elif sc.get("kind") == "store":
-            extra = ""
-            if "open_speedup_vs_v2" in sc:
-                extra += f", x{sc['open_speedup_vs_v2']:.2f} vs v2"
-            if "bytes_ratio" in sc:
-                extra += (f", {sc['bytes_ratio']:.2f}x v2 size "
-                          f"({sc['bytes']:,}B)")
+            extra = f", {sc['bytes']:,}B" if "bytes" in sc else ""
             lines.append(
                 f"  {name:<20} {sc['units_per_s']:>12,.0f} tasks/s "
                 f"(wall {sc['wall_s']:.3f}s{extra})")

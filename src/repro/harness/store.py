@@ -1,81 +1,66 @@
-"""Columnar campaign store (ResultStore v2/v3): one segment file per
-store.
+"""Columnar campaign store: one append-only segment file per store.
 
-The JSON :class:`~repro.harness.sweep.ResultStore` pays one file open,
-parse and manifest merge per artifact — fine for a figure, painful for
-a campaign of hundreds (or a shard sweep of thousands) of tasks.  This
-module keeps the store *contract* (content-keyed ``get``/``put`` /
-``put_many``/``merge_from``/``prune``/``manifest``) and replaces the
-storage with a single append-only **segment file**:
+This module implements the content-keyed store contract of
+:class:`~repro.harness.sweep.ResultStore` (``get``/``put``/
+``put_many``/``merge_from``/``prune``/``manifest``) as a single
+append-only **segment file**:
 
-- ``store.seg`` starts with an 8-byte file magic and is otherwise a
-  sequence of self-describing **blocks**.  Two frame formats coexist
-  in one file and are always both readable; the store's
-  ``segment_format`` only selects what *new* frames are written as.
-- **v2 frames** (``BLK1``): a fixed header (magic, compressed length,
-  CRC-32, record count) + one zlib-compressed body — a JSON header
-  (content keys, the non-numeric remainder of every payload, the
-  column directory) plus **binary-packed numeric columns** — scalar
-  columns as tagged 8-byte ints/floats, array columns (time-series
-  probes) as length-prefixed packed vectors with a per-element
-  int/float bitmap.
-- **v3 frames** (``BLK2``, the default): the same columns split into
-  three *independently* zlib-compressed sections — **meta** (key
-  refs, per-block string table, column directory, frame-carried
-  manifest entries, section CRCs), **body** (JSON remainders + scalar
-  + dictionary-string columns) and **array** (the time-series
-  columns).  A cold open/``manifest()`` decompresses metas only; a
-  ``get`` decodes meta+body; the array section is decoded lazily,
-  only for records that actually carry arrays.  Repeated strings
-  (figure labels, lb policy / workload names, ``sim``/``key``/
-  ``origin``) are **dictionary-encoded** against a per-block sorted
-  string table and stored once.  Both splits are lossless: a decoded
-  payload is canonically identical (``json.dumps(...,
-  sort_keys=True)``) to what was stored.
+- ``store.seg`` starts with the 8-byte file magic ``REPSEG03`` and is
+  otherwise a sequence of self-describing **frames** (``BLK2``).  Each
+  frame holds a batch of records split into three *independently*
+  compressed sections — **meta** (key refs, per-block string table,
+  column directory, frame-carried manifest entries, section CRCs),
+  **body** (JSON remainders + scalar + dictionary-string columns) and
+  **array** (the time-series columns).  A cold open/``manifest()``
+  decompresses metas only; a ``get`` decodes meta+body; the array
+  section is decoded lazily, only for records that actually carry
+  arrays.  Repeated strings (figure labels, lb policy / workload
+  names, ``sim``/``key``/``origin``) are **dictionary-encoded**
+  against a per-block sorted string table and stored once.  Every
+  split is lossless: a decoded payload is canonically identical
+  (``json.dumps(..., sort_keys=True)``) to what was stored.
 - Reads go through an **mmap view** of the segment (remapped when the
   file grows or is replaced), falling back to buffered preads on
   platforms without :mod:`mmap` or under ``REPRO_STORE_MMAP=0``.
 - The **key index** is in-memory only, rebuilt by scanning the frame
-  headers/metas on open; a torn final block (crash mid-append) is
+  headers/metas on open; a torn final frame (crash mid-append) is
   detected by CRC/length and dropped, and the next append truncates
   the torn tail first, so the file self-heals without a repair tool.
+  A segment written by an older format (any other ``REPSEG`` magic)
+  is refused the same way — it serves no keys, ``verify`` names its
+  format, and the next append replaces it; delete such a directory.
 - **Manifest entries ride the frames.**  Each record carries its index
-  entry (label, seed, sim, origin, timestamp) inside the block header,
+  entry (label, seed, sim, origin, timestamp) inside the frame meta,
   so a put is *one* append — no per-put read-merge-write of
-  ``manifest.json`` (the JSON store's O(n²) byte cost on long serial
-  campaigns).  ``manifest.json`` still exists for browsing and
-  cross-format tooling, but as a *derived* artifact: it is
-  materialized by :meth:`~repro.harness.sweep.ResultStore.
-  repair_manifest` (campaign runs call it on finish), by ``compact``
-  and by ``prune``, and :meth:`ColumnarStore.manifest` always prefers
-  the frame-carried entries.
+  ``manifest.json``.  ``manifest.json`` still exists for browsing, but
+  as a *derived* artifact: it is materialized by
+  :meth:`~repro.harness.sweep.ResultStore.repair_manifest` (campaign
+  runs call it on finish), by ``compact`` and by ``prune``, and
+  :meth:`ColumnarStore.manifest` always prefers the frame-carried
+  entries.
 
-Invariants carried over from the JSON store:
+Invariants:
 
 - **Equal key ⟺ identical payload.**  Appends never need to compare
   contents; ``merge_from`` skips present keys and folds everything new
-  in as *one* appended block — shard merging is an append, not N file
+  in as appended frames — shard merging is an append, not N file
   copies.  Duplicate records (e.g. a ``--fresh`` re-run) are legal;
   the index resolves to the newest, and :meth:`ColumnarStore.compact`
   drops the shadowed ones.
-- **Read-compat.**  A v2 store opened on a legacy directory serves the
-  existing ``<key>.json`` artifacts transparently (reads fall back,
-  ``keys()`` is the union); :meth:`ColumnarStore.compact` absorbs them
-  into the segment file and deletes the originals.
-- **manifest.json is unchanged** — same entry layout, same
-  read-merge-write and read-repair semantics — so shard origins,
-  trend tooling and store browsing work identically on both formats.
+- **manifest.json keeps one layout** — key -> {label, seed, schema,
+  sim, written_at[, origin, wall_s, bytes]} — so shard origins, trend
+  tooling and store browsing read it without opening the segment.
 
 Concurrency: writes are appended under a process-local lock with
 ``O_APPEND``, so the campaign runner's figure threads share one store
-safely.  Two *processes* appending to one segment file converge the
-same way two JSON campaigns do (content keys make double-execution
-harmless), but may leave shadowed duplicates — run ``repro store
-compact`` afterwards.
+safely.  Across *processes* an advisory ``flock`` serializes whole
+appends (``REPRO_STORE_LOCK=0`` or a platform without :mod:`fcntl`
+falls back to lockless appends, which converge through content keys
+but may leave shadowed duplicates — run ``repro store compact``
+afterwards).
 
 ``repro store compact | inspect | verify`` exposes the maintenance
-surface; :func:`open_store` is the policy switch (``REPRO_STORE=json``
-forces the legacy format).
+surface; :func:`open_store` is the one way callers open a store.
 """
 
 from __future__ import annotations
@@ -110,32 +95,17 @@ except ImportError:  # pragma: no cover - no-mmap platform
 
 from .sweep import SCHEMA_VERSION, ResultStore, simulator_version
 
-#: the store-format policy environment variable (see :func:`open_store`)
-STORE_ENV = "REPRO_STORE"
-
 #: set to ``0``/``off`` to force buffered reads instead of mmap
 MMAP_ENV = "REPRO_STORE_MMAP"
 
 #: set to ``0``/``off`` to skip the advisory inter-process append lock
 LOCK_ENV = "REPRO_STORE_LOCK"
 
-#: 8-byte file magic; the trailing digit is the segment format version
-FILE_MAGIC = b"REPSEG02"
-
-#: file magic written by stores created at segment format 3
+#: 8-byte file magic; the trailing digits are the segment format
 FILE_MAGIC_V3 = b"REPSEG03"
 
-#: per-block frame magic (v2 frames)
-BLOCK_MAGIC = b"BLK1"
-
-#: per-block frame magic (v3 frames; may follow v2 frames in one file)
+#: per-frame magic
 BLOCK_MAGIC_V3 = b"BLK2"
-
-#: the segment format new blocks are written in by default
-SEGMENT_FORMAT = 3
-
-#: v2 frame header: magic, compressed length, CRC-32, record count
-_FRAME = struct.Struct("<4sIII")
 
 #: v3 frame header: magic, record count, meta length, meta CRC-32,
 #: body length, array length (section CRCs and raw sizes ride the meta)
@@ -158,8 +128,8 @@ def _scalar_tag(value) -> Optional[int]:
     """The column tag for a scalar, or ``None`` for "keep as JSON".
 
     Bools are ints in Python but not in the column format; non-finite
-    floats stay JSON so both store formats spell them identically; and
-    ints outside 64 bits cannot be packed.
+    floats stay JSON (``json.dumps`` spells them ``Infinity``/``NaN``);
+    and ints outside 64 bits cannot be packed.
     """
     if value is None:
         return _T_NULL
@@ -194,144 +164,6 @@ def _is_numeric_array(value) -> bool:
         if isinstance(v, float) and not math.isfinite(v):
             return False
     return True
-
-
-def encode_block(records: Sequence[Tuple[str, dict]],
-                 entries: Optional[Sequence[Optional[dict]]] = None
-                 ) -> bytes:
-    """One uncompressed block body for ``records`` (key/payload pairs).
-
-    Layout: ``u32 header_len + header_json + packed_columns``.  The
-    header carries the keys, the per-record JSON remainders, the
-    per-record manifest ``entries`` (may be ``None``), and the column
-    directory ``[section, name, kind]`` in deterministic (sorted)
-    order; the packed tail holds the columns in that order.
-    """
-    keys: List[str] = []
-    rests: List[dict] = []
-    scalars: Dict[Tuple[str, str], Dict[int, object]] = {}
-    arrays: Dict[Tuple[str, str], Dict[int, list]] = {}
-    for idx, (key, payload) in enumerate(records):
-        keys.append(key)
-        rest: dict = {}
-        for sect, val in payload.items():
-            if not isinstance(val, dict):
-                rest[sect] = val
-                continue
-            rsect = {}
-            for name, v in val.items():
-                if _scalar_tag(v) is not None:
-                    scalars.setdefault((sect, name), {})[idx] = v
-                elif _is_numeric_array(v):
-                    arrays.setdefault((sect, name), {})[idx] = v
-                else:
-                    rsect[name] = v
-            rest[sect] = rsect
-        rests.append(rest)
-
-    n = len(records)
-    cols: List[List[str]] = []
-    packed = bytearray()
-    for sect, name in sorted(scalars):
-        cols.append([sect, name, "s"])
-        values = scalars[(sect, name)]
-        tags = bytearray(n)
-        buf = bytearray()
-        for i in range(n):
-            if i not in values:
-                continue
-            v = values[i]
-            tags[i] = _scalar_tag(v)
-            if tags[i] == _T_INT:
-                buf += struct.pack("<q", v)
-            elif tags[i] == _T_FLOAT:
-                buf += struct.pack("<d", v)
-        packed += tags + buf
-    for sect, name in sorted(arrays):
-        cols.append([sect, name, "a"])
-        values = arrays[(sect, name)]
-        tags = bytearray(n)
-        buf = bytearray()
-        for i in range(n):
-            if i not in values:
-                continue
-            tags[i] = 1
-            elems = values[i]
-            buf += struct.pack("<I", len(elems))
-            bitmap = bytearray((len(elems) + 7) // 8)
-            for j, e in enumerate(elems):
-                if isinstance(e, int):
-                    bitmap[j // 8] |= 1 << (j % 8)
-            buf += bitmap
-            for e in elems:
-                buf += struct.pack("<q" if isinstance(e, int) else "<d", e)
-        packed += tags + buf
-
-    doc = {"k": keys, "r": rests, "c": cols}
-    if entries is not None and any(e is not None for e in entries):
-        doc["m"] = list(entries)
-    header = json.dumps(doc, separators=(",", ":")).encode()
-    return struct.pack("<I", len(header)) + header + bytes(packed)
-
-
-def decode_block(body: bytes
-                 ) -> Tuple[List[Tuple[str, dict]],
-                            List[Optional[dict]]]:
-    """Invert :func:`encode_block`; every call returns fresh objects.
-
-    Returns ``(records, entries)`` — the key/payload pairs and the
-    parallel list of frame-carried manifest entries (``None`` where a
-    record carried none).
-    """
-    (hlen,) = struct.unpack_from("<I", body, 0)
-    header = json.loads(body[4:4 + hlen].decode())
-    keys, rests, cols = header["k"], header["r"], header["c"]
-    n = len(keys)
-    off = 4 + hlen
-    for sect, name, kind in cols:
-        tags = body[off:off + n]
-        off += n
-        if kind == "s":
-            for i in range(n):
-                tag = tags[i]
-                if tag == _T_MISSING:
-                    continue
-                if tag == _T_NULL:
-                    v: object = None
-                elif tag == _T_INT:
-                    (v,) = struct.unpack_from("<q", body, off)
-                    off += 8
-                else:
-                    (v,) = struct.unpack_from("<d", body, off)
-                    off += 8
-                rests[i][sect][name] = v
-        else:
-            for i in range(n):
-                if not tags[i]:
-                    continue
-                (count,) = struct.unpack_from("<I", body, off)
-                off += 4
-                bitmap = body[off:off + (count + 7) // 8]
-                off += len(bitmap)
-                elems = []
-                for j in range(count):
-                    is_int = bitmap[j // 8] >> (j % 8) & 1
-                    (e,) = struct.unpack_from("<q" if is_int else "<d",
-                                              body, off)
-                    off += 8
-                    elems.append(e)
-                rests[i][sect][name] = elems
-    entries = header.get("m") or [None] * n
-    return list(zip(keys, rests)), entries
-
-
-def _frame_bytes(records: Sequence[Tuple[str, dict]],
-                 entries: Optional[Sequence[Optional[dict]]] = None
-                 ) -> bytes:
-    body = encode_block(records, entries)
-    comp = zlib.compress(body, 6)
-    return _FRAME.pack(BLOCK_MAGIC, len(comp), zlib.crc32(comp),
-                       len(records)) + comp
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +383,7 @@ def _meta_keys(n: int, meta: dict) -> List[str]:
 # per-value array encodings inside a v3 array column
 _ARR_INT = 0      # delta + zigzag varints
 _ARR_SCALED = 1   # scale byte, then delta + zigzag varints of scaled
-_ARR_RAW = 2      # v2-style int/float bitmap + 8-byte values
+_ARR_RAW = 2      # int/float bitmap + raw 8-byte values
 _ARR_SPLIT = 3    # full-precision floats, byte-stream-split planes
 
 
@@ -559,7 +391,7 @@ def _pack_array_v3(buf: bytearray, elems: list) -> None:
     """Append one array value: deltas of ints (monotonic timestamps,
     correlated queue depths) and of exactly-scaled decimal floats
     (rounded metric series) varint-pack to a byte or two per element;
-    anything else falls back to the v2 raw layout."""
+    anything else falls back to a raw int/float-bitmap layout."""
     if all(isinstance(e, int) for e in elems):
         buf.append(_ARR_INT)
         _uvarint(buf, len(elems))
@@ -794,7 +626,7 @@ def encode_frame_v3(records: Sequence[Tuple[str, dict]],
                          zlib.crc32(meta_comp), len(body_comp),
                          len(arr_comp)) + meta_comp + body_comp + arr_comp
     info = {
-        "version": 3, "records": n, "meta_comp": len(meta_comp),
+        "records": n, "meta_comp": len(meta_comp),
         "body_comp": len(body_comp), "array_comp": len(arr_comp),
         "body_raw": len(body_b), "array_raw": len(arr_b),
         "table": len(table),
@@ -901,23 +733,22 @@ def _walk_frames(read, start: int, *, full: bool = True):
     mmap slice or a buffered pread; the scanner never holds a file
     position.  Yields, in file order:
 
-    - ``("magic", offset)`` — a file-magic marker (v2 or v3).
-      Accepted anywhere, not just at offset 0: two lockless processes
-      racing the very first append can each prepend the magic, and
-      treating it as an 8-byte skip makes that interleaving lossless
-      instead of data-destroying.
+    - ``("magic", offset)`` — a file-magic marker.  Accepted
+      anywhere, not just at offset 0: two lockless processes racing
+      the very first append can each prepend the magic, and treating
+      it as an 8-byte skip makes that interleaving lossless instead of
+      data-destroying.
     - ``("frame", block)`` — one complete frame.  ``block`` is a dict:
-      ``version`` (2 or 3), ``offset``/``end``, ``keys``, ``entries``,
-      ``records`` (fully decoded payloads — always for v2; for v3 only
-      when ``full``, else ``None``), ``errors`` (section CRC/decode
-      failures, ``full`` mode only) and ``info`` (the stats
-      breakdown).  With ``full=False`` a v3 frame costs **one meta
-      decompression** — the body and array sections are never read;
-      their presence is length-checked so torn tails still stop the
-      scan.
+      ``offset``/``end``, ``keys``, ``entries``, ``records`` (fully
+      decoded payloads when ``full``, else ``None``), ``errors``
+      (section CRC/decode failures, ``full`` mode only) and ``info``
+      (the stats breakdown).  With ``full=False`` a frame costs **one
+      meta decompression** — the body and array sections are never
+      read; their presence is length-checked so torn tails still stop
+      the scan.
     - ``("tail", offset, reason)`` — bytes from ``offset`` on are not
-      a valid frame (torn write, corruption, not a segment file);
-      scanning stops.
+      a valid frame (torn write, corruption, another segment format,
+      not a segment file); scanning stops.
     - ``("eof", offset)`` — clean end of file.
 
     Both the reader (:meth:`ColumnarStore._refresh`) and the auditor
@@ -930,39 +761,16 @@ def _walk_frames(read, start: int, *, full: bool = True):
         if not head:
             yield ("eof", pos)
             return
-        if head[:len(FILE_MAGIC)] in (FILE_MAGIC, FILE_MAGIC_V3):
+        if head[:len(FILE_MAGIC_V3)] == FILE_MAGIC_V3:
             yield ("magic", pos)
-            pos += len(FILE_MAGIC)
+            pos += len(FILE_MAGIC_V3)
             continue
-        magic4 = head[:4]
-        if magic4 == BLOCK_MAGIC:
-            if len(head) < _FRAME.size:
-                yield ("tail", pos, "truncated frame header")
-                return
-            _m, comp_len, crc, _n_records = \
-                _FRAME.unpack(head[:_FRAME.size])
-            comp = read(pos + _FRAME.size, comp_len)
-            if len(comp) < comp_len:
-                yield ("tail", pos, "truncated frame body")
-                return
-            if zlib.crc32(comp) != crc:
-                yield ("tail", pos, "CRC mismatch")
-                return
-            try:
-                records, entries = decode_block(zlib.decompress(comp))
-            except _DECODE_ERRORS as exc:
-                yield ("tail", pos, f"undecodable block ({exc})")
-                return
-            end = pos + _FRAME.size + comp_len
-            yield ("frame", {
-                "version": 2, "offset": pos, "end": end,
-                "keys": [k for k, _p in records], "entries": entries,
-                "records": records, "errors": [],
-                "info": {"version": 2, "records": len(records),
-                         "comp": comp_len}})
-            pos = end
-            continue
-        if magic4 != BLOCK_MAGIC_V3:
+        if head[:6] == FILE_MAGIC_V3[:6]:  # an older segment format
+            version = head[6:8].decode("latin-1").lstrip("0")
+            yield ("tail", pos, f"segment format {version} is not "
+                                f"readable (pre-v3 store)")
+            return
+        if head[:4] != BLOCK_MAGIC_V3:
             yield ("tail", pos, "bad frame magic")
             return
         if len(head) < _FRAME3.size:
@@ -994,10 +802,10 @@ def _walk_frames(read, start: int, *, full: bool = True):
             return
         raw = meta.get("bl") or [0, 0]
         blk: Dict[str, object] = {
-            "version": 3, "offset": pos, "end": end,
+            "offset": pos, "end": end,
             "keys": keys, "entries": entries, "records": None,
             "errors": [],
-            "info": {"version": 3, "records": n, "meta_comp": mlen,
+            "info": {"records": n, "meta_comp": mlen,
                      "body_comp": blen, "array_comp": alen,
                      "body_raw": raw[0], "array_raw": raw[1],
                      "table": len(table),
@@ -1030,30 +838,24 @@ def _walk_frames(read, start: int, *, full: bool = True):
 
 
 class ColumnarStore(ResultStore):
-    """The v2 store: one segment file + in-memory index, JSON fallback.
+    """The store: one segment file + an in-memory key index.
 
-    API-compatible with :class:`~repro.harness.sweep.ResultStore`;
+    Implements the :class:`~repro.harness.sweep.ResultStore` contract;
     see the module docstring for the format and its invariants.
     """
 
     SEGMENT = "store.seg"
 
     def __init__(self, root: str, *, origin: Optional[str] = None,
-                 fresh: bool = False,
-                 segment_format: Optional[int] = None) -> None:
+                 fresh: bool = False) -> None:
         super().__init__(root, origin=origin, fresh=fresh)
-        fmt = SEGMENT_FORMAT if segment_format is None else segment_format
-        if fmt not in (2, 3):
-            raise ValueError(f"unknown segment format {fmt!r}")
-        #: the format *new* frames are written in; both are always read
-        self._format = fmt
         self._lock = threading.RLock()
         self._index: Dict[str, Tuple[int, int]] = {}  # key -> (off, slot)
         #: bounded LRU of decoded blocks — the index is complete, the
         #: payload cache is not (misses re-load the block from disk).
         #: Each value is ``(records, pending_array_slots, array_cols)``
         #: — ``pending_array_slots`` is the mutable set of slots whose
-        #: array columns are still undecoded (v3 lazy reads), ``None``
+        #: array columns are still undecoded (lazy reads), ``None``
         #: once applied or for blocks without arrays.
         self._blocks: "OrderedDict[int, tuple]" = OrderedDict()
         self._entries: Dict[str, dict] = {}  # frame-carried manifest
@@ -1063,12 +865,11 @@ class ColumnarStore(ResultStore):
         self._tail_dirty = False  # torn/garbage tail after _scanned
         self._view = None        # mmap over the scanned segment
         self._view_len = 0
-        # per-format/section/column accounting for stats() — folded
-        # from frame headers during the scan, never from block decodes
-        self._fmt_blocks = {2: 0, 3: 0}
+        # per-section/column accounting for stats() — folded from
+        # frame metas during the scan, never from block decodes
         self._sections = dict.fromkeys(
             ("meta_comp", "body_comp", "array_comp", "body_raw",
-             "array_raw", "v2_comp", "table_strings"), 0)
+             "array_raw", "table_strings"), 0)
         self._col_bytes: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -1076,9 +877,6 @@ class ColumnarStore(ResultStore):
     # ------------------------------------------------------------------
     def _segment_path(self) -> str:
         return os.path.join(self.root, self.SEGMENT)
-
-    def _file_magic(self) -> bytes:
-        return FILE_MAGIC_V3 if self._format >= 3 else FILE_MAGIC
 
     def _drop_view(self) -> None:
         if self._view is not None:
@@ -1157,26 +955,19 @@ class ColumnarStore(ResultStore):
         self._blocks_seen = 0
         self._tail_dirty = False
         self._drop_view()
-        self._fmt_blocks = {2: 0, 3: 0}
         for key in self._sections:
             self._sections[key] = 0
         self._col_bytes.clear()
 
     def _fold_info(self, info: Dict[str, object]) -> None:
         """Accumulate one frame's stats breakdown (scan or append)."""
-        self._fmt_blocks[info["version"]] = \
-            self._fmt_blocks.get(info["version"], 0) + 1
-        if info["version"] == 3:
-            s = self._sections
-            for field in ("meta_comp", "body_comp", "array_comp",
-                          "body_raw", "array_raw"):
-                s[field] += info.get(field, 0)
-            s["table_strings"] += info.get("table", 0)
-            for ckey, nbytes in (info.get("cols") or {}).items():
-                self._col_bytes[ckey] = \
-                    self._col_bytes.get(ckey, 0) + nbytes
-        else:
-            self._sections["v2_comp"] += info.get("comp", 0)
+        s = self._sections
+        for field in ("meta_comp", "body_comp", "array_comp",
+                      "body_raw", "array_raw"):
+            s[field] += info[field]
+        s["table_strings"] += info["table"]
+        for ckey, nbytes in info["cols"].items():
+            self._col_bytes[ckey] = self._col_bytes.get(ckey, 0) + nbytes
 
     def _refresh(self) -> None:
         """Index any segment bytes appended since the last scan.
@@ -1202,14 +993,9 @@ class ColumnarStore(ResultStore):
                 return
             for event in _walk_frames(read, self._scanned, full=False):
                 if event[0] == "magic":
-                    self._scanned = event[1] + len(FILE_MAGIC)
+                    self._scanned = event[1] + len(FILE_MAGIC_V3)
                 elif event[0] == "frame":
                     blk = event[1]
-                    if blk["version"] == 2:
-                        # v2 scans decode anyway (the keys live in the
-                        # block body) — keep the bytes we paid for
-                        self._cache_block(blk["offset"],
-                                          (blk["records"], None, ()))
                     entries = blk["entries"]
                     for slot, key in enumerate(blk["keys"]):
                         self._index[key] = (blk["offset"], slot)
@@ -1231,39 +1017,29 @@ class ColumnarStore(ResultStore):
             self._blocks.popitem(last=False)
 
     def _load_block(self, offset: int) -> Optional[tuple]:
-        """Decode the frame at ``offset`` for point reads.
-
-        v2 frames decode fully; v3 frames decode meta+body only —
-        ``(records, pending_array_slots, array_cols)`` — so a ``get``
-        of a scalar payload never unpacks the time-series arrays.
+        """Decode the frame at ``offset`` for point reads: meta+body
+        only — ``(records, pending_array_slots, array_cols)`` — so a
+        ``get`` of a scalar payload never unpacks the time-series
+        arrays.
         """
         with self._segment_reader() as read:
             if read is None:
                 return None
             try:
-                magic4 = read(offset, 4)
-                if magic4 == BLOCK_MAGIC:
-                    head = read(offset, _FRAME.size)
-                    _m, comp_len, _crc, _n = _FRAME.unpack(head)
-                    comp = read(offset + _FRAME.size, comp_len)
-                    records, _e = decode_block(zlib.decompress(comp))
-                    return (records, None, ())
-                if magic4 == BLOCK_MAGIC_V3:
-                    head = read(offset, _FRAME3.size)
-                    _m, n, mlen, _mcrc, blen, _alen = \
-                        _FRAME3.unpack(head)
-                    meta = json.loads(_decompress_v3(
-                        read(offset + _FRAME3.size, mlen)).decode())
-                    body = _decompress_v3(
-                        read(offset + _FRAME3.size + mlen, blen))
-                    records, _e = _decode_body_v3(n, meta, body)
-                    pending = set(meta.get("ab") or ())
-                    acols = tuple(tuple(c) for c in meta["c"]
-                                  if c[2] == "a")
-                    return (records, pending or None, acols)
+                magic, n, mlen, _mcrc, blen, _alen = \
+                    _FRAME3.unpack(read(offset, _FRAME3.size))
+                if magic != BLOCK_MAGIC_V3:
+                    return None
+                meta = json.loads(_decompress_v3(
+                    read(offset + _FRAME3.size, mlen)).decode())
+                body = _decompress_v3(
+                    read(offset + _FRAME3.size + mlen, blen))
+                records, _e = _decode_body_v3(n, meta, body)
             except (OSError,) + _DECODE_ERRORS:
                 return None
-        return None
+        pending = set(meta.get("ab") or ())
+        acols = tuple(tuple(c) for c in meta["c"] if c[2] == "a")
+        return (records, pending or None, acols)
 
     def _apply_arrays(self, offset: int, records, pending: set,
                       acols) -> bool:
@@ -1309,17 +1085,6 @@ class ColumnarStore(ResultStore):
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _read(self, key: str) -> Optional[dict]:
-        with self._lock:
-            self._refresh()
-            loc = self._index.get(key)
-            if loc is None:
-                return super()._read(key)  # legacy JSON artifact
-            payload = self._record(key, loc)
-        if payload is None or payload.get("schema") != SCHEMA_VERSION:
-            return None
-        return _json_copy(payload)
-
     def _read_raw(self, key: str) -> Optional[dict]:
         """Like :meth:`_read` but without the schema filter — what
         compaction preserves (dropping stale artifacts is prune's
@@ -1327,25 +1092,22 @@ class ColumnarStore(ResultStore):
         with self._lock:
             self._refresh()
             loc = self._index.get(key)
-            if loc is not None:
-                payload = self._record(key, loc)
-                if payload is not None:
-                    return _json_copy(payload)
-        try:
-            with open(self._path(key)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
+            payload = None if loc is None else self._record(key, loc)
+        return None if payload is None else _json_copy(payload)
+
+    def _read(self, key: str) -> Optional[dict]:
+        payload = self._read_raw(key)
+        if payload is None or payload.get("schema") != SCHEMA_VERSION:
             return None
+        return payload
 
     def keys(self) -> List[str]:
         with self._lock:
             self._refresh()
-            segment = set(self._index)
-        return sorted(segment | set(super().keys()))
+            return sorted(self._index)
 
-    def _json_keys(self) -> List[str]:
-        """Legacy ``<key>.json`` artifacts living beside the segment."""
-        return super().keys()
+    def __len__(self) -> int:
+        return len(self.keys())
 
     # ------------------------------------------------------------------
     # writes
@@ -1369,19 +1131,10 @@ class ColumnarStore(ResultStore):
         except OSError:  # pragma: no cover - e.g. locks unsupported fs
             return False
 
-    def _encode_frame(self, records: Sequence[Tuple[str, dict]],
-                      entries: Sequence[Optional[dict]]
-                      ) -> Tuple[bytes, Dict[str, object]]:
-        if self._format >= 3:
-            return encode_frame_v3(records, entries)
-        frame = _frame_bytes(records, entries)
-        return frame, {"version": 2, "records": len(records),
-                       "comp": len(frame) - _FRAME.size}
-
     def _append_frame(self, records: Sequence[Tuple[str, dict]],
                       entries: Sequence[Optional[dict]]) -> None:
         """Append one block and register its records in the index."""
-        frame, info = self._encode_frame(records, entries)
+        frame, info = encode_frame_v3(records, entries)
         path = self._segment_path()
         fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
@@ -1412,7 +1165,7 @@ class ColumnarStore(ResultStore):
                 self._tail_dirty = False
             data = frame
             if os.fstat(fd).st_size == 0:
-                data = self._file_magic() + frame
+                data = FILE_MAGIC_V3 + frame
             # loop on short writes (ENOSPC / RLIMIT_FSIZE can commit a
             # partial frame without raising): the index must never
             # report artifacts durable that are torn on disk
@@ -1435,7 +1188,7 @@ class ColumnarStore(ResultStore):
             self._index[key] = (offset, slot)
             if entries[slot] is not None:
                 self._entries[key] = entries[slot]
-        if offset == max(self._scanned, len(FILE_MAGIC)):
+        if offset == max(self._scanned, len(FILE_MAGIC_V3)):
             self._scanned = end
             self._records += len(cached)
             self._blocks_seen += 1
@@ -1468,33 +1221,33 @@ class ColumnarStore(ResultStore):
                                       (stats or {}).get(key))
                  for key, payload in items])
 
-    def merge_from(self, other: ResultStore) -> List[str]:
-        """Fold ``other`` in as **one** appended block (vs one file
-        copy per artifact in the JSON store).  Same semantics: present
-        keys skip, stale schemas stay behind, manifest entries travel
-        with their ``origin`` inside the frame."""
+    def merge_from(self, other: "ColumnarStore") -> List[str]:
+        """Fold ``other``'s artifacts in as appended frames; returns
+        the keys actually copied.
+
+        Content-key semantics make this idempotent and commutative: a
+        key already present here is skipped (equal key ⟺ identical
+        payload), so merging the same shard twice — or two shards in
+        either order — converges to the same store.  Manifest entries
+        travel inside the frames, preserving the writing shard's
+        ``origin``; artifacts with a stale schema are left behind.
+        """
         other_manifest = other.manifest()
-        other_keys = other.keys()
-        if isinstance(other, ColumnarStore):
-            # stream the source in frame order, not sorted-key order:
-            # content keys shuffle records across blocks, so sorted
-            # point reads thrash the bounded block LRU and re-decode
-            # each block once per *record* (the 50k merge scenario
-            # measured ~17x slower that way); frame order decodes each
-            # source block once.  Legacy JSON keys sort after the
-            # segment (their location is per-file, order-free).
-            with other._lock:
-                locs = dict(other._index)
-            other_keys = sorted(
-                other_keys, key=lambda k: locs.get(k, (1 << 62, 0)))
+        # stream the source in frame order, not sorted-key order:
+        # content keys shuffle records across blocks, so sorted point
+        # reads thrash the bounded block LRU and re-decode each block
+        # once per *record* (the 50k merge scenario measured ~17x
+        # slower that way); frame order decodes each source block once
+        with other._lock:
+            other._refresh()
+            other_keys = sorted(other._index, key=other._index.get)
         merged: List[str] = []
         records: List[Tuple[str, dict]] = []
         entries: List[Optional[dict]] = []
         with self._lock:
             self._refresh()
-            json_present = set(self._json_keys())
             for key in other_keys:
-                if key in self._index or key in json_present:
+                if key in self._index:
                     continue
                 payload = other._read(key)
                 if payload is None:
@@ -1516,27 +1269,24 @@ class ColumnarStore(ResultStore):
     def manifest(self) -> Dict[str, dict]:
         """The campaign index, frame-carried entries first.
 
-        Starts from whatever ``manifest.json`` says (legacy artifacts,
-        cross-format tooling), overlays the entries riding the segment
-        frames, synthesizes entries for artifacts that carry none, and
-        drops entries whose artifact is gone — the same read-repair
-        contract as the JSON store, just with the frames as the source
-        of truth.
+        Starts from whatever ``manifest.json`` says, overlays the
+        entries riding the segment frames, synthesizes entries for
+        records that carry none, and drops entries whose record is
+        gone — the frames are the source of truth.
         """
         with self._lock:
             self._refresh()
             manifest = self._read_index()
             for key, entry in self._entries.items():
                 manifest[key] = dict(entry)
-            on_disk = self.keys()
-            for key in on_disk:
+            for key in self._index:
                 if key in manifest:
                     continue
                 payload = self._read(key)
                 if payload is not None:
                     manifest[key] = self._manifest_entry(
                         payload, time.time())
-            for key in set(manifest) - set(on_disk):
+            for key in set(manifest) - set(self._index):
                 del manifest[key]
         return manifest
 
@@ -1544,15 +1294,23 @@ class ColumnarStore(ResultStore):
     # maintenance: prune / compact / verify / stats
     # ------------------------------------------------------------------
     def prune(self, keep: Optional[Iterable[str]] = None) -> List[str]:
-        """Same policy as the JSON store (keep-set, else stale schema /
-        simulator hash); segment records are dropped by rewriting the
-        file, legacy JSON artifacts by deletion.  Orphaned manifest
-        entries are dropped either way."""
+        """Drop stale artifacts by rewriting the segment; returns the
+        removed keys.
+
+        With ``keep`` given, everything outside that key set goes.
+        Without it, artifacts whose stored simulator version differs
+        from the current :func:`~repro.harness.sweep.simulator_version`
+        (or whose schema is outdated) are removed — the post-upgrade
+        cleanup.  Orphaned ``manifest.json`` entries (index rows with
+        no record behind them) are dropped either way: read-repair
+        only ever adds, so without this a lost artifact would haunt
+        the on-disk index forever.
+        """
         keep_set = set(keep) if keep is not None else None
         with self._lock:
             self._refresh()
             removed = []
-            for key in self.keys():
+            for key in sorted(self._index):
                 if keep_set is not None:
                     stale = key not in keep_set
                 else:
@@ -1561,55 +1319,40 @@ class ColumnarStore(ResultStore):
                         payload.get("sim") != simulator_version()
                 if stale:
                     removed.append(key)
-            for key in removed:
-                if key not in self._index:
-                    try:
-                        os.remove(self._path(key))
-                    except OSError:
-                        pass
-            if any(key in self._index for key in removed):
+            if removed:
                 self._rewrite(drop=set(removed))
-            else:
-                for key in removed:
-                    self._index.pop(key, None)
-                    self._entries.pop(key, None)
-            orphaned = set(self._read_index()) - set(self.keys())
+            orphaned = set(self._read_index()) - set(self._index)
             if removed or orphaned:
                 self._write_json(os.path.join(self.root, self.MANIFEST),
                                  self.manifest())
         return removed
 
     def compact(self) -> Dict[str, object]:
-        """Rewrite the segment file: one record per live key, legacy
-        JSON artifacts absorbed and deleted, shadowed duplicates
-        dropped.  Returns before/after statistics."""
+        """Rewrite the segment file with one record per live key
+        (shadowed duplicates dropped).  Returns before/after
+        statistics."""
         with self._lock:
             self._refresh()
             before = self._stats_locked()
-            rewrite = self._rewrite(drop=set())
+            written = self._rewrite(drop=set())
             self._write_json(os.path.join(self.root, self.MANIFEST),
                              self.manifest())
             after = self._stats_locked()
         return {"before": before, "after": after,
-                "records_written": rewrite["records"],
-                "json_absorbed": rewrite["json_absorbed"]}
+                "records_written": written}
 
-    def _rewrite(self, drop: set) -> Dict[str, object]:
+    def _rewrite(self, drop: set) -> int:
         """Write a fresh segment holding every live key not in
-        ``drop``; absorb and delete legacy JSON artifacts.  Caller
-        holds the lock."""
+        ``drop``; returns the records written.  Caller holds the
+        lock."""
         survivors = [key for key in self.keys() if key not in drop]
-        absorbed = [key for key in self._json_keys()
-                    if key not in drop and key not in self._index]
         entry_for = self.manifest()  # preserves shard origins
         os.makedirs(self.root, exist_ok=True)
         tmp = self._segment_path() + \
             f".{os.getpid()}.{threading.get_ident()}.tmp"
-        written: set = set()
+        written = 0
         with open(tmp, "wb") as fh:
-            # compaction rewrites in the store's *write* format — the
-            # v2 → v3 migration path is one `repro store compact`
-            fh.write(self._file_magic())
+            fh.write(FILE_MAGIC_V3)
             batch: List[Tuple[str, dict]] = []
             entries: List[Optional[dict]] = []
             for key in survivors:
@@ -1618,29 +1361,17 @@ class ColumnarStore(ResultStore):
                     continue
                 batch.append((key, payload))
                 entries.append(entry_for.get(key))
-                written.add(key)
+                written += 1
                 if len(batch) >= COMPACT_BLOCK_RECORDS:
-                    fh.write(self._encode_frame(batch, entries)[0])
+                    fh.write(encode_frame_v3(batch, entries)[0])
                     batch, entries = [], []
             if batch:
-                fh.write(self._encode_frame(batch, entries)[0])
+                fh.write(encode_frame_v3(batch, entries)[0])
         self._drop_view()  # the view maps the file we just replaced
         os.replace(tmp, self._segment_path())
-        # remove only the legacy JSON artifacts that are now in the
-        # segment (absorbed or shadowed) or deliberately dropped — a
-        # file that failed to *read* (EACCES, I/O error) was never
-        # absorbed and must survive the rewrite
-        for key in self._json_keys():
-            if key not in written and key not in drop:
-                continue
-            try:
-                os.remove(self._path(key))
-            except OSError:
-                pass
         self._reset()
         self._refresh()
-        return {"records": len(written),
-                "json_absorbed": len(set(absorbed) & written)}
+        return written
 
     def verify(self) -> Dict[str, object]:
         """Scan the file from scratch and cross-check every record.
@@ -1652,7 +1383,7 @@ class ColumnarStore(ResultStore):
         report: Dict[str, object] = {
             "blocks": 0, "records": 0, "unique_keys": 0,
             "duplicate_records": 0, "key_mismatches": [],
-            "truncated_tail_bytes": 0, "legacy_json": 0, "errors": [],
+            "truncated_tail_bytes": 0, "errors": [],
         }
         seen: Dict[str, int] = {}
         path = self._segment_path()
@@ -1690,17 +1421,6 @@ class ColumnarStore(ResultStore):
                         if not reason.startswith("truncated"):
                             report["errors"].append(
                                 f"{reason} at offset {offset}")
-        for key in self._json_keys():
-            report["legacy_json"] += 1
-            try:
-                with open(self._path(key)) as fh:
-                    payload = json.load(fh)
-            except (OSError, ValueError):
-                report["errors"].append(f"unreadable artifact {key}.json")
-                continue
-            embedded = payload.get("key")
-            if embedded is not None and embedded != key:
-                report["key_mismatches"].append(key)
         report["unique_keys"] = len(seen)
         report["duplicate_records"] = \
             sum(count - 1 for count in seen.values())
@@ -1713,13 +1433,6 @@ class ColumnarStore(ResultStore):
             seg_bytes = os.path.getsize(self._segment_path())
         except OSError:
             seg_bytes = 0
-        json_keys = self._json_keys()
-        json_bytes = 0
-        for key in json_keys:
-            try:
-                json_bytes += os.path.getsize(self._path(key))
-            except OSError:
-                pass
         task_wall = 0.0
         task_bytes = 0
         timed = 0
@@ -1734,24 +1447,19 @@ class ColumnarStore(ResultStore):
                     not isinstance(nbytes, bool):
                 task_bytes += int(nbytes)
         return {
-            "segment_bytes": seg_bytes,
-            "json_bytes": json_bytes,
-            "bytes": seg_bytes + json_bytes,
+            "bytes": seg_bytes,
             "blocks": self._blocks_seen,
             # raw frame records, not unique index keys: the duplicate
             # surplus is the `repro store inspect` signal to compact
             "records": self._records,
             "duplicates": self._records - len(self._index),
-            "legacy_json": len(json_keys),
-            "keys": len(set(self._index) | set(json_keys)),
+            "keys": len(self._index),
             # a torn/corrupt tail stops the scan, so the counts above
             # cover only the readable prefix — statistics must say so
             "tail_dirty": self._tail_dirty,
             # header-only breakdown: every number below comes from the
             # frame headers/metas the scan already paid for — stats()
             # never decodes a block body through the LRU cache
-            "format": {"v2_blocks": self._fmt_blocks.get(2, 0),
-                       "v3_blocks": self._fmt_blocks.get(3, 0)},
             "sections": dict(self._sections),
             "columns": dict(self._col_bytes),
             # recorded task accounting riding the manifest entries
@@ -1763,11 +1471,11 @@ class ColumnarStore(ResultStore):
     def stats(self) -> Dict[str, object]:
         """Browsable store statistics (``repro store inspect``).
 
-        Cheap by construction on v3 segments: the refresh scan reads
-        frame headers and metas only (no body decompression, nothing
-        pushed through the block LRU), and the compression breakdown
-        (``sections``/``columns``/``format``) is folded from the
-        per-frame ``info`` the scanner already produced.
+        Cheap by construction: the refresh scan reads frame headers
+        and metas only (no body decompression, nothing pushed through
+        the block LRU), and the compression breakdown
+        (``sections``/``columns``) is folded from the per-frame
+        ``info`` the scanner already produced.
         """
         with self._lock:
             self._refresh()
@@ -1775,22 +1483,6 @@ class ColumnarStore(ResultStore):
 
 
 def open_store(root: str, *, origin: Optional[str] = None,
-               fresh: bool = False) -> ResultStore:
-    """The store for ``root`` under the current format policy.
-
-    ``REPRO_STORE=json`` forces the legacy one-JSON-per-task format
-    (e.g. to A/B against v2, or to produce a store for the migration
-    path); anything else — the default — opens a :class:`ColumnarStore`,
-    which reads legacy directories transparently and writes segments.
-    """
-    kind = os.environ.get(STORE_ENV, "").strip().lower()
-    if kind in ("json", "v1"):
-        return ResultStore(root, origin=origin, fresh=fresh)
-    if kind in ("", "columnar", "v3"):
-        return ColumnarStore(root, origin=origin, fresh=fresh)
-    if kind == "v2":
-        # pinned legacy segment format: reads everything, writes BLK1
-        return ColumnarStore(root, origin=origin, fresh=fresh,
-                             segment_format=2)
-    raise ValueError(
-        f"{STORE_ENV} must be 'json' or 'columnar', got {kind!r}")
+               fresh: bool = False) -> ColumnarStore:
+    """The store for ``root`` (created on the first write)."""
+    return ColumnarStore(root, origin=origin, fresh=fresh)

@@ -8,7 +8,6 @@ never invalidate a store and shard stores merge losslessly.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -21,9 +20,10 @@ from repro.harness.backends import (
     make_backend,
     resolve_backend,
 )
+from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
-    ResultStore,
     WorkloadSpec,
+    execute_task,
     make_model_task,
     make_task,
     run_sweep,
@@ -45,13 +45,15 @@ def mixed_grid():
     return tasks
 
 
-def store_snapshot(store: ResultStore):
-    """Artifact bytes by key (the manifest is timing-dependent)."""
-    out = {}
-    for key in store.keys():
-        with open(os.path.join(store.root, f"{key}.json")) as fh:
-            out[key] = fh.read()
-    return out
+def canon(doc) -> str:
+    """The byte-identity yardstick: canonical JSON serialization."""
+    return json.dumps(doc, sort_keys=True)
+
+
+def store_snapshot(store: ColumnarStore):
+    """Canonical payload bytes by key (the manifest is
+    timing-dependent)."""
+    return {key: canon(store.get(key)) for key in store.keys()}
 
 
 class TestResolution:
@@ -135,7 +137,7 @@ class TestProcessFallback:
         monkeypatch.setattr(SerialBackend, "run", spy)
         tasks = [make_model_task("footprint", seed=1, buffer_size=b)
                  for b in (1, 2, 4)][:n_tasks]
-        store = ResultStore(str(tmp_path / "s"))
+        store = ColumnarStore(str(tmp_path / "s"))
         payloads = ProcessBackend(workers=workers).run(
             [(task_key(t), t) for t in tasks], store)
         assert calls == [n_tasks]
@@ -151,7 +153,7 @@ class TestEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
-        store = ResultStore(str(tmp_path_factory.mktemp("ref")))
+        store = ColumnarStore(str(tmp_path_factory.mktemp("ref")))
         results = run_sweep(mixed_grid(), store=store,
                             backend=SerialBackend())
         return store, results
@@ -160,11 +162,12 @@ class TestEquivalence:
     def test_identical_artifacts_and_aggregates(self, backend, tmp_path,
                                                 reference):
         ref_store, ref_results = reference
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         results = run_sweep(mixed_grid(), store=store, backend=backend)
         assert results.executed == len(mixed_grid())
         # byte-identical artifacts under identical content keys
         assert store_snapshot(store) == store_snapshot(ref_store)
+        assert store.verify()["ok"]
         # identical task_key -> payload mappings
         assert {r.key: (r.metrics, r.extra) for r in results} == \
             {r.key: (r.metrics, r.extra) for r in ref_results}
@@ -180,51 +183,6 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("backend", BACKENDS[1:], ids=IDS[1:])
     def test_cache_hits_after_any_backend(self, backend, tmp_path):
-        store = ResultStore(str(tmp_path))
-        run_sweep(mixed_grid(), store=store, backend=backend)
-        again = run_sweep(mixed_grid(), store=store,
-                          backend=SerialBackend())
-        assert again.executed == 0
-        assert again.cached == len(mixed_grid())
-
-
-class TestEquivalenceColumnar:
-    """Both backends stay byte-identical on the columnar store — and
-    its payload reads equal the JSON store's artifacts, so the formats
-    are interchangeable."""
-
-    BACKENDS = TestEquivalence.BACKENDS
-    IDS = TestEquivalence.IDS
-
-    @staticmethod
-    def canon_snapshot(store):
-        """Canonical payload bytes by key (the v2 spelling of
-        ``store_snapshot`` — there are no per-task files to read)."""
-        return {key: json.dumps(store.get(key), sort_keys=True)
-                for key in store.keys()}
-
-    @pytest.fixture(scope="class")
-    def reference(self, tmp_path_factory):
-        from repro.harness.store import ColumnarStore
-        store = ColumnarStore(str(tmp_path_factory.mktemp("ref-v2")))
-        run_sweep(mixed_grid(), store=store, backend=SerialBackend())
-        return store
-
-    @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
-    def test_identical_payloads_on_v2(self, backend, tmp_path,
-                                      reference):
-        from repro.harness.store import ColumnarStore
-        store = ColumnarStore(str(tmp_path))
-        results = run_sweep(mixed_grid(), store=store, backend=backend)
-        assert results.executed == len(mixed_grid())
-        assert self.canon_snapshot(store) == \
-            self.canon_snapshot(reference)
-        assert store.verify()["ok"]
-
-    @pytest.mark.parametrize("backend", BACKENDS[1:], ids=IDS[1:])
-    def test_cache_hits_after_any_backend_on_v2(self, backend,
-                                                tmp_path):
-        from repro.harness.store import ColumnarStore
         store = ColumnarStore(str(tmp_path))
         run_sweep(mixed_grid(), store=store, backend=backend)
         again = run_sweep(mixed_grid(),
@@ -233,14 +191,12 @@ class TestEquivalenceColumnar:
         assert again.executed == 0
         assert again.cached == len(mixed_grid())
 
-    def test_v2_reads_equal_json_artifacts(self, tmp_path, reference):
-        json_store = ResultStore(str(tmp_path))
-        run_sweep(mixed_grid(), store=json_store,
-                  backend=SerialBackend())
-        json_snapshot = {
-            key: json.dumps(json_store.get(key), sort_keys=True)
-            for key in json_store.keys()}
-        assert json_snapshot == self.canon_snapshot(reference)
+    def test_reads_equal_executed_payloads(self, reference):
+        """Stored payloads read back canonically identical to what the
+        executor returned: the store adds nothing and loses nothing."""
+        ref_store, _results = reference
+        assert store_snapshot(ref_store) == {
+            task_key(t): canon(execute_task(t)) for t in mixed_grid()}
 
 
 class TestAdaptiveScheduling:
@@ -264,7 +220,6 @@ class TestAdaptiveScheduling:
     @pytest.fixture(scope="class")
     def warm(self, tmp_path_factory):
         """A store whose manifest carries recorded wall times."""
-        from repro.harness.store import ColumnarStore
         store = ColumnarStore(str(tmp_path_factory.mktemp("warm")))
         run_sweep(mixed_grid(), store=store, backend=SerialBackend())
         return store
@@ -297,8 +252,6 @@ class TestAdaptiveScheduling:
     def test_warm_history_keeps_byte_identity(self, backend, tmp_path,
                                               warm):
         import shutil
-
-        from repro.harness.store import ColumnarStore
         root = str(tmp_path / "store")
         shutil.copytree(warm.root, root)
         store = ColumnarStore(root)
@@ -322,8 +275,8 @@ class TestPutMany:
     def test_put_many_matches_sequential_puts(self, tmp_path):
         tasks = [make_model_task("footprint", seed=1, buffer_size=b)
                  for b in (1, 2)]
-        a = ResultStore(str(tmp_path / "a"))
-        b = ResultStore(str(tmp_path / "b"))
+        a = ColumnarStore(str(tmp_path / "a"))
+        b = ColumnarStore(str(tmp_path / "b"))
         from repro.harness.sweep import execute_task
         pairs = [(task_key(t), execute_task(t)) for t in tasks]
         for key, payload in pairs:
@@ -345,11 +298,11 @@ class TestStoreMerge:
 
     def test_merge_unions_and_preserves_origin(self, tmp_path):
         t1, t2, t3 = self.tasks()
-        a = ResultStore(str(tmp_path / "a"), origin="shard-0/2")
-        b = ResultStore(str(tmp_path / "b"), origin="shard-1/2")
+        a = ColumnarStore(str(tmp_path / "a"), origin="shard-0/2")
+        b = ColumnarStore(str(tmp_path / "b"), origin="shard-1/2")
         run_sweep([t1, t2], store=a)
         run_sweep([t3], store=b)
-        dest = ResultStore(str(tmp_path / "merged"))
+        dest = ColumnarStore(str(tmp_path / "merged"))
         merged = dest.merge_from(a) + dest.merge_from(b)
         assert sorted(merged) == sorted(set(a.keys()) | set(b.keys()))
         manifest = dest.manifest()
@@ -358,24 +311,23 @@ class TestStoreMerge:
         assert manifest[task_key(t3)]["origin"] == "shard-1/2"
 
     def test_merge_is_idempotent(self, tmp_path):
-        a = ResultStore(str(tmp_path / "a"))
+        a = ColumnarStore(str(tmp_path / "a"))
         run_sweep(self.tasks(), store=a)
-        dest = ResultStore(str(tmp_path / "merged"))
+        dest = ColumnarStore(str(tmp_path / "merged"))
         assert len(dest.merge_from(a)) == 3
         assert dest.merge_from(a) == []
         assert len(dest) == 3
 
     def test_merged_store_serves_cache_hits(self, tmp_path):
         tasks = self.tasks()
-        a = ResultStore(str(tmp_path / "a"))
+        a = ColumnarStore(str(tmp_path / "a"))
         run_sweep(tasks, store=a)
-        dest = ResultStore(str(tmp_path / "merged"))
+        dest = ColumnarStore(str(tmp_path / "merged"))
         dest.merge_from(a)
         results = run_sweep(tasks, store=dest)
         assert results.executed == 0 and results.cached == 3
 
     def test_columnar_merge_is_idempotent(self, tmp_path):
-        from repro.harness.store import ColumnarStore
         a = ColumnarStore(str(tmp_path / "a"), origin="shard-0/1")
         run_sweep(self.tasks(), store=a)
         dest = ColumnarStore(str(tmp_path / "merged"))
@@ -386,7 +338,6 @@ class TestStoreMerge:
             {"shard-0/1"}
 
     def test_merging_an_empty_store_is_a_noop(self, tmp_path):
-        from repro.harness.store import ColumnarStore
         dest = ColumnarStore(str(tmp_path / "merged"))
         run_sweep(self.tasks()[:1], store=dest)
         empty = ColumnarStore(str(tmp_path / "empty"))
@@ -394,11 +345,10 @@ class TestStoreMerge:
         assert len(dest) == 1
 
     def test_stale_schema_artifacts_stay_behind(self, tmp_path):
-        a = ResultStore(str(tmp_path / "a"))
+        a = ColumnarStore(str(tmp_path / "a"))
         run_sweep(self.tasks()[:1], store=a)
-        with open(os.path.join(a.root, "feedface.json"), "w") as fh:
-            json.dump({"schema": 0}, fh)
-        dest = ResultStore(str(tmp_path / "merged"))
+        a.put("feedface", {"schema": 0})
+        dest = ColumnarStore(str(tmp_path / "merged"))
         merged = dest.merge_from(a)
         assert len(merged) == 1
         assert "feedface" not in dest.keys()

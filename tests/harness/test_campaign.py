@@ -13,7 +13,8 @@ from repro.harness.campaign import (
     select_figures,
     shared_store,
 )
-from repro.harness.sweep import ResultStore, SCHEMA_VERSION
+from repro.harness.store import ColumnarStore
+from repro.harness.sweep import SCHEMA_VERSION
 from repro.scenarios import figure_ids
 
 from helpers import stub_registry, stub_spec
@@ -51,7 +52,7 @@ class TestSelectFigures:
 
 class TestRunCampaign:
     def test_all_outcomes_in_plan_order(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store)
         assert [o.fig_id for o in campaign] == \
             ["stub_a", "stub_b", "stub_c"]
@@ -62,7 +63,7 @@ class TestRunCampaign:
 
     def test_backend_recorded_for_provenance(self, tmp_path,
                                              monkeypatch):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store)
         assert campaign.backend == "serial"
         campaign = run_campaign(stub_registry(), store=store,
@@ -74,7 +75,7 @@ class TestRunCampaign:
 
     def test_backend_instance_runs_figures(self, tmp_path):
         from repro.harness.backends import ProcessBackend
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store,
                                 backend=ProcessBackend())
         assert campaign.ok()
@@ -86,7 +87,7 @@ class TestRunCampaign:
             run_campaign([])
 
     def test_cross_figure_dedup_through_shared_store(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store)
         # stub_b shares the buffer=8 task with stub_a: one cache hit
         assert campaign["stub_a"].executed == 2
@@ -97,7 +98,7 @@ class TestRunCampaign:
         assert len(store) == 4
 
     def test_rerun_is_fully_cached(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         run_campaign(stub_registry(), store=store)
         again = run_campaign(stub_registry(), store=store)
         assert again.executed == 0
@@ -107,7 +108,7 @@ class TestRunCampaign:
         def boom():
             raise RuntimeError("matrix exploded")
         specs = stub_registry() + [stub_spec("stub_bad", build=boom)]
-        campaign = run_campaign(specs, store=ResultStore(str(tmp_path)))
+        campaign = run_campaign(specs, store=ColumnarStore(str(tmp_path)))
         assert campaign["stub_bad"].status == "error"
         assert "matrix exploded" in campaign["stub_bad"].error
         # the broken spec did not abort the campaign
@@ -120,7 +121,7 @@ class TestRunCampaign:
             assert result.value(1) > result.value(8), "shape off"
         specs = [stub_spec("stub_div", check=check_bad)] \
             + stub_registry()
-        campaign = run_campaign(specs, store=ResultStore(str(tmp_path)))
+        campaign = run_campaign(specs, store=ColumnarStore(str(tmp_path)))
         outcome = campaign["stub_div"]
         assert outcome.status == "fail"
         assert "shape off" in outcome.error
@@ -129,15 +130,15 @@ class TestRunCampaign:
 
     def test_checks_disabled_means_warn(self, tmp_path):
         campaign = run_campaign(stub_registry(),
-                                store=ResultStore(str(tmp_path)),
+                                store=ColumnarStore(str(tmp_path)),
                                 check=False)
         assert {o.status for o in campaign} == {"warn"}
 
     def test_figure_jobs_parallel_matches_serial(self, tmp_path):
         serial = run_campaign(
-            stub_registry(), store=ResultStore(str(tmp_path / "a")))
+            stub_registry(), store=ColumnarStore(str(tmp_path / "a")))
         threaded = run_campaign(
-            stub_registry(), store=ResultStore(str(tmp_path / "b")),
+            stub_registry(), store=ColumnarStore(str(tmp_path / "b")),
             figure_jobs=3)
         assert [o.fig_id for o in threaded] == \
             [o.fig_id for o in serial]
@@ -152,7 +153,7 @@ class TestRunCampaign:
         """figure_jobs>1 + workers>1 must not fork from threads; the
         spawn-context pools still produce identical results."""
         campaign = run_campaign(
-            stub_registry(), store=ResultStore(str(tmp_path)),
+            stub_registry(), store=ColumnarStore(str(tmp_path)),
             figure_jobs=2, workers=2)
         assert campaign.counts() == \
             {"pass": 2, "warn": 1, "fail": 0, "error": 0}
@@ -174,20 +175,19 @@ class TestPruneStale:
                 "metrics": {}, "extra": {}}
 
     def test_prune_stale_drops_old_simulator_artifacts(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         store.put("feedfacefeedfacefeedface", self.stale_payload())
         campaign = run_campaign(stub_registry(), store=store,
                                 prune_stale=True)
         assert "feedfacefeedfacefeedface" in campaign.pruned
-        assert not os.path.exists(
-            os.path.join(str(tmp_path), "feedfacefeedfacefeedface.json"))
+        assert "feedfacefeedfacefeedface" not in store.keys()
         # fresh artifacts survive and the manifest was read-repaired
         manifest = store.manifest()
         assert "feedfacefeedfacefeedface" not in manifest
         assert len(manifest) == len(store.keys()) == 4
 
     def test_without_flag_stale_artifacts_survive(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         store.put("feedfacefeedfacefeedface", self.stale_payload())
         campaign = run_campaign(stub_registry(), store=store)
         assert campaign.pruned == []
@@ -197,9 +197,9 @@ class TestPruneStale:
         """A campaign over a store whose manifest vanished re-indexes
         every artifact and persists the repaired index to disk."""
         import json
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         run_campaign(stub_registry(), store=store)
-        manifest_path = os.path.join(str(tmp_path), ResultStore.MANIFEST)
+        manifest_path = os.path.join(str(tmp_path), ColumnarStore.MANIFEST)
         os.remove(manifest_path)
         campaign = run_campaign(stub_registry(), store=store,
                                 prune_stale=True)
@@ -215,7 +215,7 @@ class TestStoreConcurrency:
         """Figure threads in one process write the same manifest; the
         per-thread temp names must never collide on os.replace."""
         from concurrent.futures import ThreadPoolExecutor
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         payload = {"schema": SCHEMA_VERSION, "sim": "x" * 16,
                    "task": {"label": "t", "seed": 1},
                    "metrics": {}, "extra": {}}
@@ -232,10 +232,10 @@ class TestStoreConcurrency:
     def test_fresh_store_prune_keeps_disk_artifacts(self, tmp_path):
         """A cache-policy override (`--fresh`) must not make prune()
         believe every artifact is stale and wipe the store."""
-        class FreshStore(ResultStore):
+        class FreshStore(ColumnarStore):
             def get(self, key):
                 return None
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         run_campaign(stub_registry(), store=store)
         fresh = FreshStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=fresh,

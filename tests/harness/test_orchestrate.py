@@ -492,22 +492,6 @@ class TestOrchestratorLoop:
         page = (tmp_path / "status.html").read_text()
         assert "complete" in page and "http-equiv" not in page
 
-    def test_merge_reads_columnar_shards_under_json_policy(
-            self, tmp_path, smoke_env, monkeypatch):
-        """Shard stores written in the columnar format still merge
-        into a campaign store opened under ``$REPRO_STORE=json``."""
-        class _ColumnarWorkers(_FakeRunner):
-            def launch(self, shard, slot, **kwargs):
-                with scoped_env(REPRO_STORE=None):
-                    return super().launch(shard, slot, **kwargs)
-
-        monkeypatch.setenv("REPRO_STORE", "json")
-        result = _orchestrator(tmp_path,
-                               _ColumnarWorkers(["ok", "ok"])).run()
-        assert result.ok()
-        assert sum(s.merged_keys for s in result.shards) == 7
-        assert result.campaign.executed == 0
-
     def test_crash_retries_and_recovers(self, tmp_path, smoke_env):
         runner = _FakeRunner(["crash", "ok", "ok"])
         result = _orchestrator(tmp_path, runner).run()

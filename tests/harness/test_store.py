@@ -1,9 +1,9 @@
-"""Columnar store v2: codec round-trips, recovery, maintenance.
+"""Segment store: codec round-trips, recovery, maintenance.
 
-The acceptance bar (ISSUE 5): **byte-identical reads** — for any
-JSON-typed payload, ``put``/``put_many``/``get``/``merge_from``/
-``compact`` round-trip to the canonically identical document — plus
-idempotent merges and index-rebuild recovery after a torn final block.
+The acceptance bar: **byte-identical reads** — for any JSON-typed
+payload, ``put``/``put_many``/``get``/``merge_from``/``compact``
+round-trip to the canonically identical document — plus idempotent
+merges and index-rebuild recovery after a torn final block.
 The round-trip tests are property-based over a seeded-random payload
 generator, so every run explores the same few hundred arbitrary
 payload shapes deterministically.
@@ -18,15 +18,15 @@ import random
 import pytest
 
 from repro.harness.store import (
-    STORE_ENV,
+    FILE_MAGIC_V3,
     ColumnarStore,
-    decode_block,
-    encode_block,
+    decode_frame_v3,
+    encode_frame_v3,
     open_store,
 )
 from repro.harness.sweep import (
     SCHEMA_VERSION,
-    ResultStore,
+    execute_task,
     make_model_task,
     run_sweep,
     simulator_version,
@@ -91,11 +91,16 @@ def rand_batch(seed: int, n: int):
     return [(f"key{i:05d}", rand_payload(rng, i)) for i in range(n)]
 
 
+def roundtrip(records, entries=None):
+    """Encode ``records`` as one frame and decode it back."""
+    return decode_frame_v3(encode_frame_v3(records, entries)[0])
+
+
 class TestBlockCodec:
     @pytest.mark.parametrize("seed", [1, 7, 42, 2026])
     def test_roundtrip_is_canonically_identical(self, seed):
         batch = rand_batch(seed, 50)
-        decoded, entries = decode_block(encode_block(batch))
+        decoded, entries = roundtrip(batch)
         assert [k for k, _ in decoded] == [k for k, _ in batch]
         for (_, original), (_, back) in zip(batch, decoded):
             assert canon(original) == canon(back)
@@ -104,7 +109,7 @@ class TestBlockCodec:
     def test_int_float_distinction_survives(self):
         payload = {"metrics": {"i": 3, "f": 3.0, "nz": -0.0},
                    "series": {"mixed": [1, 2.0, -3, 0.5]}}
-        (_, back), = decode_block(encode_block([("k", payload)]))[0]
+        (_, back), = roundtrip([("k", payload)])[0]
         assert canon(payload) == canon(back)
         assert isinstance(back["metrics"]["i"], int)
         assert isinstance(back["metrics"]["f"], float)
@@ -115,7 +120,7 @@ class TestBlockCodec:
         batch = rand_batch(3, 4)
         entries = [{"label": f"l{i}", "origin": "shard-1/2"} if i % 2
                    else None for i in range(4)]
-        _, back = decode_block(encode_block(batch, entries))
+        _, back = roundtrip(batch, entries)
         assert back == entries
 
 
@@ -155,21 +160,6 @@ class TestRoundTrip:
         for key, payload in batch:
             assert canon(dest.get(key)) == canon(payload)
 
-    def test_merge_from_json_store_and_back(self, tmp_path):
-        """Cross-format merging, both directions."""
-        batch = rand_batch(19, 10)
-        json_store = ResultStore(str(tmp_path / "v1"))
-        json_store.put_many(batch[:5])
-        v2 = ColumnarStore(str(tmp_path / "v2"))
-        v2.put_many(batch[5:])
-        merged = ColumnarStore(str(tmp_path / "m"))
-        assert len(merged.merge_from(json_store)) == 5
-        assert len(merged.merge_from(v2)) == 5
-        back_to_json = ResultStore(str(tmp_path / "back"))
-        assert len(back_to_json.merge_from(merged)) == 10
-        for key, payload in batch:
-            assert canon(back_to_json.get(key)) == canon(payload)
-
     def test_compact_preserves_reads(self, tmp_path):
         batch = rand_batch(23, 50)
         store = ColumnarStore(str(tmp_path))
@@ -182,54 +172,6 @@ class TestRoundTrip:
         for key, payload in batch:
             assert canon(reopened.get(key)) == canon(payload)
         assert reopened.verify()["ok"]
-
-
-class TestJsonReadCompat:
-    def seed_json_store(self, tmp_path, n=8):
-        batch = rand_batch(29, n)
-        ResultStore(str(tmp_path)).put_many(batch)
-        return batch
-
-    def test_v2_serves_legacy_artifacts(self, tmp_path):
-        batch = self.seed_json_store(tmp_path)
-        store = ColumnarStore(str(tmp_path))
-        assert store.keys() == sorted(k for k, _ in batch)
-        for key, payload in batch:
-            assert canon(store.get(key)) == canon(payload)
-
-    def test_mixed_store_unions_keys(self, tmp_path):
-        batch = self.seed_json_store(tmp_path)
-        store = ColumnarStore(str(tmp_path))
-        extra = rand_batch(31, 3)
-        store.put_many([(f"new{i}", p) for i, (_, p) in enumerate(extra)])
-        assert len(store.keys()) == len(batch) + 3
-
-    def test_compact_keeps_unreadable_json_artifacts(self, tmp_path):
-        """Regression (code review): a legacy artifact compact cannot
-        *read* was never absorbed, so it must survive the rewrite
-        instead of being deleted as if it had been."""
-        batch = self.seed_json_store(tmp_path, n=4)
-        victim = os.path.join(str(tmp_path),
-                              f"{batch[0][0]}.json")
-        with open(victim, "w") as fh:
-            fh.write("{ not json")  # unreadable at compact time
-        store = ColumnarStore(str(tmp_path))
-        stats = store.compact()
-        assert stats["json_absorbed"] == len(batch) - 1
-        assert os.path.exists(victim)  # never absorbed, never deleted
-        for key, payload in batch[1:]:
-            assert canon(store.get(key)) == canon(payload)
-
-    def test_compact_absorbs_and_deletes_json(self, tmp_path):
-        batch = self.seed_json_store(tmp_path)
-        store = ColumnarStore(str(tmp_path))
-        stats = store.compact()
-        assert stats["json_absorbed"] == len(batch)
-        leftovers = [n for n in os.listdir(str(tmp_path))
-                     if n.endswith(".json") and n != "manifest.json"]
-        assert leftovers == []
-        for key, payload in batch:
-            assert canon(store.get(key)) == canon(payload)
 
 
 class TestRecovery:
@@ -300,15 +242,15 @@ class TestRecovery:
 
     def test_mid_file_magic_marker_is_skipped(self, tmp_path):
         """Regression (code review): two processes racing the first
-        append can each prepend FILE_MAGIC; a mid-file magic must read
-        as an 8-byte skip, not brick every later frame."""
-        from repro.harness.store import FILE_MAGIC, _frame_bytes
+        append can each prepend the file magic; a mid-file magic must
+        read as an 8-byte skip, not brick every later frame."""
         batch = rand_batch(59, 2)
         seg = os.path.join(str(tmp_path), ColumnarStore.SEGMENT)
         os.makedirs(str(tmp_path), exist_ok=True)
         with open(seg, "wb") as fh:  # the raced interleaving
-            fh.write(FILE_MAGIC + _frame_bytes(batch[:1], [None]))
-            fh.write(FILE_MAGIC + _frame_bytes(batch[1:], [None]))
+            for record in batch:
+                fh.write(FILE_MAGIC_V3 +
+                         encode_frame_v3([record], [None])[0])
         store = ColumnarStore(str(tmp_path))
         assert store.keys() == sorted(k for k, _ in batch)
         for key, payload in batch:
@@ -341,22 +283,23 @@ class TestRecovery:
     def test_stale_tail_survives_external_compact_rewrite(
             self, tmp_path):
         """Regression (code review): compact can *replace* the segment
-        with a larger file (absorbing legacy JSON), so a reader whose
-        scan offset predates the rewrite lands mid-frame; its next
-        write must re-validate from offset 0, not truncate the
+        with a larger file (another writer appended first), so a reader
+        whose scan offset predates the rewrite lands mid-frame; its
+        next write must re-validate from offset 0, not truncate the
         compacted file at the stale offset."""
         _store, first, _second, s1, _s2 = self.two_frame_store(tmp_path)
         seg = os.path.join(str(tmp_path), ColumnarStore.SEGMENT)
         with open(seg, "r+b") as fh:
             fh.truncate(s1 + 5)  # torn second frame
-        # legacy JSON artifacts make the compacted segment larger
-        json_batch = [(f"legacy{i:03d}",
-                       dict(payload, key=f"legacy{i:03d}"))
-                      for i, (_k, payload) in enumerate(rand_batch(73, 8))]
-        ResultStore(str(tmp_path)).put_many(json_batch)
         a = ColumnarStore(str(tmp_path))
         assert sorted(a.keys()) > []  # a has scanned: tail flagged
+        # b heals the tail, appends, and compacts to a larger file
+        extra_batch = [(f"extra{i:03d}",
+                        dict(payload, key=f"extra{i:03d}"))
+                       for i, (_k, payload)
+                       in enumerate(rand_batch(73, 8))]
         b = ColumnarStore(str(tmp_path))
+        b.put_many(extra_batch)
         b.compact()
         assert os.path.getsize(seg) > s1 + 5  # the rewrite grew it
         a_payload = dict(rand_payload(random.Random(79), 79),
@@ -365,7 +308,7 @@ class TestRecovery:
         final = ColumnarStore(str(tmp_path))
         for key, _payload in first:
             assert final.get(key) is not None  # compacted records live
-        for key, payload in json_batch:
+        for key, payload in extra_batch:
             assert canon(final._read_raw(key)) == canon(payload)
         assert canon(final.get("post-key")) == canon(a_payload)
         assert final.verify()["ok"]
@@ -440,15 +383,12 @@ class TestMaintenance:
         assert sorted(store.prune()) == ["oldschema", "oldsim"]
         assert ColumnarStore(str(tmp_path)).keys() == ["live"]
 
-    @pytest.mark.parametrize("store_cls", [ResultStore, ColumnarStore],
-                             ids=["json", "columnar"])
-    def test_prune_drops_orphaned_manifest_entries(self, tmp_path,
-                                                   store_cls):
-        """Regression (ISSUE 5): read-repair synthesizes entries for
-        artifacts missing from the index, but an entry whose artifact
-        vanished used to survive prune() unless something else was
-        removed in the same call."""
-        store = store_cls(str(tmp_path))
+    def test_prune_drops_orphaned_manifest_entries(self, tmp_path):
+        """Regression: read-repair synthesizes entries for artifacts
+        missing from the index, but an entry whose artifact vanished
+        used to survive prune() unless something else was removed in
+        the same call."""
+        store = ColumnarStore(str(tmp_path))
         live = {"schema": SCHEMA_VERSION, "sim": simulator_version(),
                 "metrics": {}, "extra": {}}
         store.put("live", live)
@@ -465,14 +405,11 @@ class TestMaintenance:
         assert "ghost" not in store._read_index()  # ...orphan dropped
         assert "live" in store._read_index()
 
-    @pytest.mark.parametrize("store_cls", [ResultStore, ColumnarStore],
-                             ids=["json", "columnar"])
-    def test_manifest_read_repairs_missing_entries(self, tmp_path,
-                                                   store_cls):
-        """The reverse direction: an artifact the index never heard of
-        gets an entry synthesized on read (pre-existing behaviour,
-        pinned here beside its new counterpart)."""
-        store = store_cls(str(tmp_path))
+    def test_manifest_read_repairs_missing_entries(self, tmp_path):
+        """The reverse direction: an artifact ``manifest.json`` never
+        heard of still gets its entry on read (pinned here beside its
+        counterpart)."""
+        store = ColumnarStore(str(tmp_path))
         store.put("k", {"schema": SCHEMA_VERSION,
                         "sim": simulator_version(),
                         "task": {"label": "l", "seed": 3},
@@ -485,32 +422,16 @@ class TestMaintenance:
         assert manifest["k"]["seed"] == 3
 
 
-class TestOpenStorePolicy:
-    def test_default_is_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
+class TestOpenStore:
+    def test_default_is_columnar(self, tmp_path):
         assert isinstance(open_store(str(tmp_path)), ColumnarStore)
 
-    def test_json_forces_legacy(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, "json")
-        store = open_store(str(tmp_path))
-        assert type(store) is ResultStore
-
-    def test_explicit_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, "columnar")
-        assert isinstance(open_store(str(tmp_path)), ColumnarStore)
-
-    def test_unknown_value_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, "parquet")
-        with pytest.raises(ValueError, match="REPRO_STORE"):
-            open_store(str(tmp_path))
-
-    def test_kwargs_pass_through(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
+    def test_kwargs_pass_through(self, tmp_path):
         store = open_store(str(tmp_path), origin="shard-1/4", fresh=True)
         assert store.origin == "shard-1/4" and store.fresh
 
 
-class TestSweepOnV2:
+class TestSweepOnStore:
     def tasks(self):
         return [make_model_task("footprint", seed=1, buffer_size=b)
                 for b in (1, 4, 8)]
@@ -524,11 +445,10 @@ class TestSweepOnV2:
         assert {r.key: canon((r.metrics, r.extra)) for r in first} == \
             {r.key: canon((r.metrics, r.extra)) for r in again}
 
-    def test_v2_payloads_match_json_store(self, tmp_path):
-        json_store = ResultStore(str(tmp_path / "v1"))
-        v2_store = ColumnarStore(str(tmp_path / "v2"))
-        run_sweep(self.tasks(), store=json_store)
-        run_sweep(self.tasks(), store=v2_store)
-        assert json_store.keys() == v2_store.keys()
-        for key in json_store.keys():
-            assert canon(json_store.get(key)) == canon(v2_store.get(key))
+    def test_payloads_match_executor_output(self, tmp_path):
+        store = ColumnarStore(str(tmp_path))
+        results = run_sweep(self.tasks(), store=store)
+        assert store.keys() == sorted(r.key for r in results)
+        for result in results:
+            assert canon(store.get(result.key)) == \
+                canon(execute_task(result.task))

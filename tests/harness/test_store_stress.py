@@ -1,8 +1,8 @@
-"""The columnar store at campaign scale: 5k tasks, per-task + chunked.
+"""The store at campaign scale: 5k tasks, per-task + chunked.
 
-What the JSON store could never promise: a 5000-task campaign through
-the **serial** backend costs 5000 segment appends and *zero* manifest
-rewrites (entries ride the frames), and the same payloads written
+A 5000-task campaign through the **serial** backend costs 5000
+segment appends and *zero* manifest rewrites (entries ride the
+frames), and the same payloads written
 through **chunked** ``put_many`` calls cost one frame per call.  Both
 stores must stay equivalence-suite identical — byte-identical payload
 reads for every key — and a re-run must be fully cached.
@@ -40,7 +40,7 @@ def grid():
 
 
 class CountingStore(ColumnarStore):
-    """A v2 store that counts its own I/O."""
+    """A store that counts its own I/O."""
 
     def __init__(self, root: str, **kwargs) -> None:
         super().__init__(root, **kwargs)

@@ -1,12 +1,13 @@
-"""Store v3: codec properties, mmap, locking, migration, scheduling.
+"""Store v3: codec properties, mmap, locking, scheduling.
 
-The acceptance bar (ISSUE 7): the v3 segment format round-trips
-canonically byte-identical payloads (dictionary sentinels, ``-0.0``,
-scaled decimals and full-precision floats included), reads v2 frames
-forever, heals torn tails, remaps its mmap view across appends, holds
-an advisory lock on appends (with a lockless fallback), migrates v2
-stores through ``compact``, and the wall-time-driven scheduler stays
-a pure, stable, fail-soft reordering.
+The acceptance bar: the v3 segment format round-trips canonically
+byte-identical payloads (dictionary sentinels, ``-0.0``, scaled
+decimals and full-precision floats included), decodes only frame
+metas on a cold open, heals torn tails, refuses (and then replaces)
+segments of older formats instead of misreading them, remaps its mmap
+view across appends, holds an advisory lock on appends (with a
+lockless fallback), and the wall-time-driven scheduler stays a pure,
+stable, fail-soft reordering.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from repro.harness.backends.schedule import (
     longest_first,
     wall_time_history,
 )
+import repro.harness.store as store_mod
 from repro.harness.store import (
-    BLOCK_MAGIC,
-    BLOCK_MAGIC_V3,
-    FILE_MAGIC,
     FILE_MAGIC_V3,
     LOCK_ENV,
     MMAP_ENV,
@@ -195,9 +194,42 @@ class TestMmapView:
 
 
 # ----------------------------------------------------------------------
-# torn tails and the v2 <-> v3 matrix
+# cold opens, torn tails and older segment formats
 # ----------------------------------------------------------------------
-class TestTornTailAndMatrix:
+#: a format-2 segment (``REPSEG02`` + one ``BLK1`` frame holding key
+#: ``"ab" * 12``), captured from the retired v2 writer
+V2_SEGMENT = bytes.fromhex(
+    "5245505345473032424c4b31950000005579ab6f01000000789c754e410ac2"
+    "30108cf527731372f39693ff2845b6e9aaa5094a12c112f2631fe1d61615d1"
+    "d9c3ecce2c3b7b574a650c3035a8fd5d6834822c64447b624f305b8dd87b18"
+    "d82f4063e0518cbfb734124589cb70d4b29355c747b2238a86e7147a1bc594"
+    "816f29d0d41689b7125fbf7c8d2e9c2f1347f9ed533fd8b4bfbe8d67940ccc"
+    "ddac35a5520bd6336d76d56a511e934e4ef2")
+
+
+class TestColdOpen:
+    def test_cold_manifest_decodes_meta_sections_only(self, tmp_path,
+                                                      monkeypatch):
+        """A cold open + ``manifest()`` decompresses exactly one meta
+        section per frame — no body or array section."""
+        root = str(tmp_path)
+        frames = 5
+        store = ColumnarStore(root)
+        for k in range(frames):  # every frame carries array columns
+            store.put_many(batch(4, start=4 * k))
+        calls = []
+        real = store_mod._decompress_v3
+
+        def counting(buf):
+            calls.append(len(buf))
+            return real(buf)
+        monkeypatch.setattr(store_mod, "_decompress_v3", counting)
+        manifest = ColumnarStore(root).manifest()
+        assert len(manifest) == 4 * frames
+        assert len(calls) == frames
+
+
+class TestTornTailAndOldFormats:
     def test_v3_torn_tail_self_heals(self, tmp_path):
         root = str(tmp_path)
         store = ColumnarStore(root)
@@ -215,40 +247,25 @@ class TestTornTailAndMatrix:
         assert len(healed) == 7
         assert healed.verify()["ok"]
 
-    def test_v2_writer_v3_reader_matrix(self, tmp_path):
+    def test_pre_v3_segment_is_refused_then_replaced(self, tmp_path):
         root = str(tmp_path)
-        v2 = ColumnarStore(root, segment_format=2)
-        v2.put_many(batch(5))
         seg = os.path.join(root, ColumnarStore.SEGMENT)
-        blob = open(seg, "rb").read()
-        assert blob.startswith(FILE_MAGIC) and BLOCK_MAGIC in blob
-        v3 = ColumnarStore(root)                   # default writer: v3
-        for key, payload in batch(5):
-            assert canon(v3.get(key)) == canon(payload)
-        v3.put_many(batch(5, start=5))             # appends BLK2
-        blob = open(seg, "rb").read()
-        assert blob.startswith(FILE_MAGIC)         # header unchanged
-        assert BLOCK_MAGIC in blob and BLOCK_MAGIC_V3 in blob
-        mixed = ColumnarStore(root)                # cold: both formats
-        assert len(mixed) == 10
-        for key, payload in batch(10):
-            assert canon(mixed.get(key)) == canon(payload)
-        fmt = mixed.stats()["format"]
-        assert fmt["v2_blocks"] >= 1 and fmt["v3_blocks"] >= 1
-
-    def test_compact_migrates_v2_store_to_v3(self, tmp_path):
-        root = str(tmp_path)
-        ColumnarStore(root, segment_format=2).put_many(batch(12))
+        with open(seg, "wb") as fh:
+            fh.write(V2_SEGMENT)
         store = ColumnarStore(root)
-        store.compact()
-        blob = open(os.path.join(root, ColumnarStore.SEGMENT),
-                    "rb").read()
-        assert blob.startswith(FILE_MAGIC_V3)
-        assert BLOCK_MAGIC_V3 in blob and BLOCK_MAGIC not in blob
-        back = ColumnarStore(root)
-        assert len(back) == 12
-        for key, payload in batch(12):
-            assert canon(back.get(key)) == canon(payload)
+        assert store.keys() == [] and store.get("ab" * 12) is None
+        report = store.verify()
+        assert not report["ok"]
+        assert any("segment format 2" in e for e in report["errors"])
+        assert not any("bad frame magic" in e for e in report["errors"])
+        key, payload = batch(1)[0]
+        store.put(key, payload)                    # replaces the file
+        with open(seg, "rb") as fh:
+            assert fh.read(len(FILE_MAGIC_V3)) == FILE_MAGIC_V3
+        reopened = ColumnarStore(root)
+        assert reopened.keys() == [key]
+        assert canon(reopened.get(key)) == canon(payload)
+        assert reopened.verify()["ok"]
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,9 @@ import os
 import pytest
 
 import repro.harness.sweep as sweep_mod
+from repro.harness.store import _FRAME3, FILE_MAGIC_V3, ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
-    ResultStore,
     SweepGrid,
     WorkloadSpec,
     execute_task,
@@ -157,7 +157,7 @@ class TestSimulatorVersion:
                                                  monkeypatch):
         """An artifact written by an older simulator must miss: its key
         embeds the old version, so the new run stores a fresh one."""
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(1,))
         monkeypatch.setattr(sweep_mod, "simulator_version",
                             lambda: "0ld51mver510n000")
@@ -170,7 +170,7 @@ class TestSimulatorVersion:
 
 class TestStoreCaching:
     def test_cache_miss_then_hit(self, tmp_path):
-        store = ResultStore(str(tmp_path / "campaign"))
+        store = ColumnarStore(str(tmp_path / "campaign"))
         grid = tiny_grid()
         first = run_sweep(grid, store=store)
         assert (first.executed, first.cached) == (4, 0)
@@ -179,7 +179,7 @@ class TestStoreCaching:
         assert (again.executed, again.cached) == (0, 4)
 
     def test_partial_cache_runs_only_missing(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         small = tiny_grid(lbs=["reps"])
         run_sweep(small, store=store)
         grown = tiny_grid(lbs=["ops", "reps"])
@@ -188,24 +188,30 @@ class TestStoreCaching:
         assert results.executed == 2
 
     def test_corrupt_artifact_recomputed(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(1,))
         run_sweep(grid, store=store)
-        (key,) = store.keys()
-        with open(os.path.join(store.root, f"{key}.json"), "w") as fh:
-            fh.write("{not json")
-        results = run_sweep(grid, store=store)
+        seg = os.path.join(store.root, ColumnarStore.SEGMENT)
+        with open(seg, "r+b") as fh:  # zero the record's body section
+            head = fh.read(len(FILE_MAGIC_V3) + _FRAME3.size)
+            _m, _n, mlen, _crc, blen, _alen = \
+                _FRAME3.unpack_from(head, len(FILE_MAGIC_V3))
+            fh.seek(len(head) + mlen)
+            fh.write(bytes(blen))
+        results = run_sweep(grid, store=ColumnarStore(str(tmp_path)))
         assert results.executed == 1
+        again = run_sweep(grid, store=ColumnarStore(str(tmp_path)))
+        assert again.cached == 1
 
     def test_cached_payload_matches_fresh(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(3,))
         fresh = run_sweep(grid, store=store)
         cached = run_sweep(grid, store=store)
         assert fresh.results[0].metrics == cached.results[0].metrics
 
     def test_store_survives_json_roundtrip(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         task = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
                          max_us=2_000_000.0)
         payload = execute_task(task)
@@ -269,10 +275,10 @@ class TestAggregation:
 
 class TestManifestAndPrune:
     def test_put_maintains_manifest(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(1, 2))
         run_sweep(grid, store=store)
-        manifest = ResultStore(str(tmp_path)).manifest()
+        manifest = ColumnarStore(str(tmp_path)).manifest()
         assert sorted(manifest) == store.keys()
         for entry in manifest.values():
             assert entry["sim"] == simulator_version()
@@ -280,7 +286,7 @@ class TestManifestAndPrune:
             assert entry["written_at"] > 0
 
     def test_prune_keep_set(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["ops", "reps"], seeds=(1,))
         results = run_sweep(grid, store=store)
         keep = [results.results[0].key]
@@ -291,41 +297,39 @@ class TestManifestAndPrune:
 
     def test_concurrent_stores_merge_manifest(self, tmp_path):
         """Two store instances sharing a directory must not clobber
-        each other's manifest entries (read-merge-write per put)."""
-        a = ResultStore(str(tmp_path))
-        b = ResultStore(str(tmp_path))
+        each other's manifest entries (they ride the appended
+        frames)."""
+        a = ColumnarStore(str(tmp_path))
+        b = ColumnarStore(str(tmp_path))
         run_sweep(tiny_grid(lbs=["ops"], seeds=(1,)), store=a)
         run_sweep(tiny_grid(lbs=["reps"], seeds=(1,)), store=b)
-        manifest = ResultStore(str(tmp_path)).manifest()
+        manifest = ColumnarStore(str(tmp_path)).manifest()
         assert sorted(manifest) == a.keys()
         assert len(manifest) == 2
 
     def test_manifest_read_repairs_lost_entries(self, tmp_path):
-        """Simulate the two-process lost-update race: an index entry
-        vanishes but the artifact exists — reads must resynthesize it
-        (and drop entries whose artifact was deleted)."""
-        import json as _json
-        store = ResultStore(str(tmp_path))
+        """A lost or raced ``manifest.json``: an index entry vanishes
+        but the artifact exists — reads must restore it from the frames
+        (and drop entries whose artifact does not exist)."""
+        store = ColumnarStore(str(tmp_path))
         run_sweep(tiny_grid(lbs=["ops", "reps"], seeds=(1,)),
                   store=store)
-        index_path = os.path.join(str(tmp_path), ResultStore.MANIFEST)
+        store.repair_manifest()
+        index_path = os.path.join(str(tmp_path), ColumnarStore.MANIFEST)
         with open(index_path) as fh:
-            index = _json.load(fh)
+            index = json.load(fh)
         lost_key, kept_key = sorted(index)
-        removed_artifact = index.pop(kept_key)  # keep entry, drop file
-        del removed_artifact
-        os.remove(os.path.join(str(tmp_path), f"{kept_key}.json"))
-        index[kept_key] = {"label": "ghost"}  # entry without artifact
+        index["f" * 24] = {"label": "ghost"}  # entry without artifact
         del index[lost_key]                   # artifact without entry
         with open(index_path, "w") as fh:
-            _json.dump(index, fh)
-        manifest = store.manifest()
-        assert sorted(manifest) == [lost_key]
+            json.dump(index, fh)
+        manifest = ColumnarStore(str(tmp_path)).manifest()
+        assert sorted(manifest) == [lost_key, kept_key]
         assert manifest[lost_key]["sim"] == simulator_version()
         assert manifest[lost_key]["label"]
 
     def test_prune_stale_sim_versions(self, tmp_path, monkeypatch):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(1,))
         monkeypatch.setattr(sweep_mod, "simulator_version",
                             lambda: "0ld51mver510n000")
@@ -433,7 +437,7 @@ class TestWorkloadKinds:
         assert payload["metrics"]["flows_total"] == 6
 
     def test_model_workload_runs_through_sweep(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         tasks = [make_model_task("footprint", seed=1, buffer_size=b)
                  for b in (1, 8)]
         results = run_sweep(tasks, store=store)

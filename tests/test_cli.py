@@ -14,8 +14,7 @@ def _clean_harness_env():
     whatever the test exported afterwards (monkeypatch.delenv cannot:
     it only undoes changes it made itself, not the CLI's)."""
     import os
-    keys = ("REPRO_BENCH_SCALE", "REPRO_SHARD", "REPRO_BACKEND",
-            "REPRO_STORE")
+    keys = ("REPRO_BENCH_SCALE", "REPRO_SHARD", "REPRO_BACKEND")
     saved = {key: os.environ.pop(key, None) for key in keys}
     yield
     for key, value in saved.items():
@@ -207,18 +206,16 @@ class TestFigures:
         assert "5 executed, 0 from cache" in out
 
     def test_prune_drops_stale_artifacts(self, capsys, tmp_path):
-        import json
-        import os
+        from repro.harness.store import open_store
         run_cli(capsys, "figures", "run", "table1",
                 "--results-dir", str(tmp_path))
-        stale = os.path.join(str(tmp_path), "table1", "feedface.json")
-        with open(stale, "w") as fh:
-            json.dump({"schema": 0}, fh)
+        root = str(tmp_path / "table1")
+        open_store(root).put("feedface", {"schema": 0})
         code, out = run_cli(capsys, "figures", "run", "table1",
                             "--prune", "--results-dir", str(tmp_path))
         assert code == 0
         assert "pruned 1 stale artifact(s)" in out
-        assert not os.path.exists(stale)
+        assert "feedface" not in open_store(root).keys()
 
     def test_no_cache_runs_without_store(self, capsys, tmp_path):
         code, out = run_cli(capsys, "figures", "run", "table1",
@@ -386,17 +383,15 @@ class TestFiguresCampaign:
                     "--prune", "--results-dir", str(tmp_path))
 
     def test_prune_stale_flag(self, capsys, tmp_path):
-        import json
-        import os
+        from repro.harness.store import open_store
         self.campaign(capsys, tmp_path)
-        stale = os.path.join(str(tmp_path / "store"), "campaign",
-                             "feedface.json")
-        with open(stale, "w") as fh:
-            json.dump({"schema": 2, "sim": "0" * 16, "metrics": {},
-                       "task": {"label": "ghost", "seed": 1}}, fh)
+        root = str(tmp_path / "store" / "campaign")
+        open_store(root).put("feedface", {
+            "schema": 2, "sim": "0" * 16, "metrics": {},
+            "task": {"label": "ghost", "seed": 1}})
         code, _out = self.campaign(capsys, tmp_path, "--prune-stale")
         assert code == 0
-        assert not os.path.exists(stale)
+        assert "feedface" not in open_store(root).keys()
 
     def test_scale_flag_sets_bench_scale(self, capsys, tmp_path,
                                          monkeypatch):
@@ -500,24 +495,15 @@ class TestOrchestrate:
 
 
 class TestStore:
-    """`repro store compact | inspect | verify` + the $REPRO_STORE
-    format policy."""
+    """`repro store compact | inspect | verify`."""
 
-    def campaign_store(self, capsys, tmp_path, env=None):
-        import os
-        # the autouse _clean_harness_env fixture scrubs these keys
-        # after the test, so plain assignment is safe here
-        os.environ.update(env or {})
-        try:
-            code, _ = run_cli(
-                capsys, "figures", "run", "--only", "table1",
-                "--scale", "smoke",
-                "--results-dir", str(tmp_path / "results"),
-                "--report", str(tmp_path / "R.md"),
-                "--json", str(tmp_path / "c.json"))
-        finally:
-            for key in (env or {}):
-                os.environ.pop(key, None)
+    def campaign_store(self, capsys, tmp_path):
+        code, _ = run_cli(
+            capsys, "figures", "run", "--only", "table1",
+            "--scale", "smoke",
+            "--results-dir", str(tmp_path / "results"),
+            "--report", str(tmp_path / "R.md"),
+            "--json", str(tmp_path / "c.json"))
         assert code == 0
         return str(tmp_path / "results" / "campaign")
 
@@ -530,20 +516,13 @@ class TestStore:
         assert code == 0
         assert "store verify: OK" in out
 
-    def test_compact_migrates_a_json_store(self, capsys, tmp_path):
-        """The v1 -> v2 migration: campaign on a JSON store, compact,
-        then a default (columnar) re-run is fully cached."""
-        import os
-        root = self.campaign_store(capsys, tmp_path,
-                                   env={"REPRO_STORE": "json"})
-        json_files = [n for n in os.listdir(root)
-                      if n.endswith(".json") and n != "manifest.json"]
-        assert json_files  # the JSON store really wrote per-task files
+    def test_compact_keeps_a_campaign_cached(self, capsys, tmp_path):
+        """Compact, then a re-run of the same campaign is fully
+        cached."""
+        root = self.campaign_store(capsys, tmp_path)
         code, out = run_cli(capsys, "store", "compact", root)
         assert code == 0
-        assert f"{len(json_files)} JSON artifact(s) absorbed" in out
-        assert [n for n in os.listdir(root) if n.endswith(".json")] == \
-            ["manifest.json"]
+        assert "record(s) in 1 block(s)" in out
         code, out = run_cli(
             capsys, "figures", "run", "--only", "table1",
             "--scale", "smoke",
@@ -564,32 +543,23 @@ class TestStore:
         assert code == 1
         assert "store verify: FAILED" in out
 
-    def test_compact_refuses_under_json_policy(self, capsys, tmp_path,
-                                               monkeypatch):
-        """Regression (code review): compacting while $REPRO_STORE=json
-        is pinned would make the whole cache invisible to the very
-        pipeline that's pinned to the legacy format."""
-        root = self.campaign_store(capsys, tmp_path,
-                                   env={"REPRO_STORE": "json"})
-        monkeypatch.setenv("REPRO_STORE", "json")
-        with pytest.raises(SystemExit, match="unset it first"):
-            run_cli(capsys, "store", "compact", root)
-
     def test_store_commands_reject_missing_dir(self, capsys, tmp_path):
         for command in ("compact", "inspect", "verify"):
             with pytest.raises(SystemExit, match="store directory"):
                 run_cli(capsys, "store", command,
                         str(tmp_path / "ghost"))
 
-    def test_bad_store_env_fails_cleanly(self, capsys, tmp_path,
-                                         monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "parquet")
-        with pytest.raises(SystemExit, match="REPRO_STORE"):
-            run_cli(capsys, "sweep", "--lbs", "reps",
-                    "--pattern", "tornado", "--mib", "0.25",
-                    "--hosts", "8", "--hosts-per-t0", "4",
-                    "--seeds", "1", "--name", "x",
-                    "--results-dir", str(tmp_path))
+    @pytest.mark.parametrize("command", ["compact", "inspect", "verify"])
+    def test_plain_directory_is_refused_untouched(self, capsys, tmp_path,
+                                                  command):
+        """A directory without a segment file is not a store: every
+        verb exits non-zero and writes nothing into it."""
+        import os
+        (tmp_path / "notes.txt").write_text("not a store\n")
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(SystemExit, match="not a store directory"):
+            run_cli(capsys, "store", command, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestFiguresTrend:
