@@ -492,6 +492,16 @@ class TestOrchestratorLoop:
         page = (tmp_path / "status.html").read_text()
         assert "complete" in page and "http-equiv" not in page
 
+    def test_stale_store_env_does_not_change_the_merge(
+            self, tmp_path, smoke_env, monkeypatch):
+        """A ``$REPRO_STORE`` value left in the environment selects
+        nothing: shards and the campaign store are segment stores."""
+        monkeypatch.setenv("REPRO_STORE", "json")
+        result = _orchestrator(tmp_path, _FakeRunner(["ok", "ok"])).run()
+        assert result.ok()
+        assert sum(s.merged_keys for s in result.shards) == 7
+        assert result.campaign.executed == 0
+
     def test_crash_retries_and_recovers(self, tmp_path, smoke_env):
         runner = _FakeRunner(["crash", "ok", "ok"])
         result = _orchestrator(tmp_path, runner).run()

@@ -160,6 +160,28 @@ class TestRoundTrip:
         for key, payload in batch:
             assert canon(dest.get(key)) == canon(payload)
 
+    def test_merge_chain_round_trips(self, tmp_path):
+        """Two stores merged into a third, the third merged into a
+        fresh fourth and back into one source: every hop copies only
+        what the destination lacks and every read stays identical."""
+        batch = rand_batch(19, 10)
+        first = ColumnarStore(str(tmp_path / "a"))
+        first.put_many(batch[:5])
+        second = ColumnarStore(str(tmp_path / "b"))
+        second.put_many(batch[5:])
+        merged = ColumnarStore(str(tmp_path / "m"))
+        assert len(merged.merge_from(first)) == 5
+        assert len(merged.merge_from(second)) == 5
+        copy = ColumnarStore(str(tmp_path / "copy"))
+        assert len(copy.merge_from(merged)) == 10
+        assert sorted(first.merge_from(merged)) == \
+            sorted(k for k, _ in batch[5:])
+        for store in (copy, first):
+            assert store.keys() == sorted(k for k, _ in batch)
+            for key, payload in batch:
+                assert canon(store.get(key)) == canon(payload)
+            assert store.verify()["ok"]
+
     def test_compact_preserves_reads(self, tmp_path):
         batch = rand_batch(23, 50)
         store = ColumnarStore(str(tmp_path))
@@ -172,6 +194,85 @@ class TestRoundTrip:
         for key, payload in batch:
             assert canon(reopened.get(key)) == canon(payload)
         assert reopened.verify()["ok"]
+
+
+class TestForeignFiles:
+    """The segment is the only thing a store reads: per-artifact
+    ``<key>.json`` files left by the retired JSON store, or any other
+    file in the directory, are never served and never touched."""
+
+    def seed_leftovers(self, tmp_path, n=4):
+        batch = rand_batch(29, n)
+        for key, payload in batch:
+            with open(os.path.join(str(tmp_path), f"{key}.json"),
+                      "w") as fh:
+                json.dump(payload, fh)
+        return batch
+
+    def listing(self, tmp_path):
+        return {name: (tmp_path / name).read_bytes()
+                for name in os.listdir(str(tmp_path))
+                if name.endswith(".json") and name != "manifest.json"}
+
+    def test_stray_json_artifact_is_not_served(self, tmp_path):
+        batch = self.seed_leftovers(tmp_path)
+        store = ColumnarStore(str(tmp_path))
+        assert store.keys() == [] and len(store) == 0
+        for key, _payload in batch:
+            assert store.get(key) is None
+        assert store.manifest() == {}
+
+    def test_stray_json_does_not_shadow_a_record(self, tmp_path):
+        batch = self.seed_leftovers(tmp_path, n=1)
+        key = batch[0][0]
+        record = rand_payload(random.Random(31), 31)
+        ColumnarStore(str(tmp_path)).put(key, record)
+        store = ColumnarStore(str(tmp_path))
+        assert store.keys() == [key]
+        assert canon(store.get(key)) == canon(record)
+
+    def test_compact_leaves_foreign_files_untouched(self, tmp_path):
+        self.seed_leftovers(tmp_path)
+        before = self.listing(tmp_path)
+        records = rand_batch(37, 6)
+        store = ColumnarStore(str(tmp_path))
+        store.put_many(records)
+        stats = store.compact()
+        assert stats["records_written"] == len(records)
+        assert self.listing(tmp_path) == before
+        assert ColumnarStore(str(tmp_path)).keys() == \
+            sorted(k for k, _ in records)
+
+    def test_prune_leaves_foreign_files_untouched(self, tmp_path):
+        self.seed_leftovers(tmp_path)
+        before = self.listing(tmp_path)
+        records = rand_batch(41, 6)
+        store = ColumnarStore(str(tmp_path))
+        store.put_many(records)
+        keep = sorted(k for k, _ in records)[:2]
+        assert len(store.prune(keep=keep)) == 4
+        assert self.listing(tmp_path) == before
+        assert ColumnarStore(str(tmp_path)).keys() == keep
+
+    def test_legacy_artifacts_are_recomputed(self, tmp_path):
+        """A sweep over a directory holding only JSON-store artifacts
+        of its own tasks executes every task and caches it in the
+        segment."""
+        tasks = [make_model_task("footprint", seed=1, buffer_size=b)
+                 for b in (1, 4)]
+        reference = run_sweep(tasks, store=ColumnarStore(
+            str(tmp_path / "reference")))
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        for result in reference:
+            (legacy / f"{result.key}.json").write_text(
+                canon(execute_task(result.task)))
+        store = ColumnarStore(str(legacy))
+        again = run_sweep(tasks, store=store)
+        assert again.executed == 2 and again.cached == 0
+        assert (legacy / ColumnarStore.SEGMENT).is_file()
+        assert ColumnarStore(str(legacy)).keys() == \
+            sorted(r.key for r in reference)
 
 
 class TestRecovery:
@@ -425,6 +526,18 @@ class TestMaintenance:
 class TestOpenStore:
     def test_default_is_columnar(self, tmp_path):
         assert isinstance(open_store(str(tmp_path)), ColumnarStore)
+
+    @pytest.mark.parametrize("value", ["json", "v2", "parquet"])
+    def test_stale_store_env_is_ignored(self, tmp_path, monkeypatch,
+                                        value):
+        """``$REPRO_STORE`` no longer selects anything: a value left in
+        an old environment neither fails nor changes the format."""
+        monkeypatch.setenv("REPRO_STORE", value)
+        store = open_store(str(tmp_path))
+        assert type(store) is ColumnarStore
+        store.put("k", {"schema": SCHEMA_VERSION, "metrics": {},
+                        "extra": {}})
+        assert os.listdir(str(tmp_path)) == [ColumnarStore.SEGMENT]
 
     def test_kwargs_pass_through(self, tmp_path):
         store = open_store(str(tmp_path), origin="shard-1/4", fresh=True)

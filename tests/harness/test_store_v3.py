@@ -47,6 +47,8 @@ from repro.harness.store import (
 )
 from repro.harness.sweep import SCHEMA_VERSION
 
+from helpers import V2_SEGMENT
+
 
 def canon(doc) -> str:
     return json.dumps(doc, sort_keys=True)
@@ -196,17 +198,6 @@ class TestMmapView:
 # ----------------------------------------------------------------------
 # cold opens, torn tails and older segment formats
 # ----------------------------------------------------------------------
-#: a format-2 segment (``REPSEG02`` + one ``BLK1`` frame holding key
-#: ``"ab" * 12``), captured from the retired v2 writer
-V2_SEGMENT = bytes.fromhex(
-    "5245505345473032424c4b31950000005579ab6f01000000789c754e410ac2"
-    "30108cf527731372f39693ff2845b6e9aaa5094a12c112f2631fe1d61615d1"
-    "d9c3ecce2c3b7b574a650c3035a8fd5d6834822c64447b624f305b8dd87b18"
-    "d82f4063e0518cbfb734124589cb70d4b29355c747b2238a86e7147a1bc594"
-    "816f29d0d41689b7125fbf7c8d2e9c2f1347f9ed533fd8b4bfbe8d67940ccc"
-    "ddac35a5520bd6336d76d56a511e934e4ef2")
-
-
 class TestColdOpen:
     def test_cold_manifest_decodes_meta_sections_only(self, tmp_path,
                                                       monkeypatch):
@@ -250,9 +241,7 @@ class TestTornTailAndOldFormats:
     def test_pre_v3_segment_is_refused_then_replaced(self, tmp_path):
         root = str(tmp_path)
         seg = os.path.join(root, ColumnarStore.SEGMENT)
-        with open(seg, "wb") as fh:
-            fh.write(V2_SEGMENT)
-        store = ColumnarStore(root)
+        store = self.pre_v3_store(tmp_path)
         assert store.keys() == [] and store.get("ab" * 12) is None
         report = store.verify()
         assert not report["ok"]
@@ -266,6 +255,36 @@ class TestTornTailAndOldFormats:
         assert reopened.keys() == [key]
         assert canon(reopened.get(key)) == canon(payload)
         assert reopened.verify()["ok"]
+
+    def pre_v3_store(self, tmp_path) -> ColumnarStore:
+        os.makedirs(str(tmp_path), exist_ok=True)
+        with open(os.path.join(str(tmp_path), ColumnarStore.SEGMENT),
+                  "wb") as fh:
+            fh.write(V2_SEGMENT)
+        return ColumnarStore(str(tmp_path))
+
+    def test_pre_v3_segment_stats_flag_the_tail(self, tmp_path):
+        stats = self.pre_v3_store(tmp_path).stats()
+        assert stats["keys"] == 0 and stats["records"] == 0
+        assert stats["tail_dirty"]
+        assert stats["bytes"] == len(V2_SEGMENT)
+
+    def test_pre_v3_segment_compacts_to_an_empty_v3_segment(
+            self, tmp_path):
+        stats = self.pre_v3_store(tmp_path).compact()
+        assert stats["records_written"] == 0
+        seg = os.path.join(str(tmp_path), ColumnarStore.SEGMENT)
+        with open(seg, "rb") as fh:
+            assert fh.read() == FILE_MAGIC_V3
+        reopened = ColumnarStore(str(tmp_path))
+        assert reopened.keys() == [] and reopened.verify()["ok"]
+
+    def test_merging_a_pre_v3_store_copies_nothing(self, tmp_path):
+        source = self.pre_v3_store(tmp_path / "old")
+        dest = ColumnarStore(str(tmp_path / "dest"))
+        dest.put_many(batch(2))
+        assert dest.merge_from(source) == []
+        assert len(ColumnarStore(str(tmp_path / "dest"))) == 2
 
 
 # ----------------------------------------------------------------------

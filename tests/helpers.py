@@ -91,3 +91,14 @@ def stub_registry():
         stub_spec("stub_b", buffers=(8, 16), check=check_ok),
         stub_spec("stub_c", buffers=(2,)),  # no check -> warn
     ]
+
+
+#: a format-2 segment (``REPSEG02`` + one ``BLK1`` frame holding key
+#: ``"ab" * 12``), captured from the retired v2 writer
+V2_SEGMENT = bytes.fromhex(
+    "5245505345473032424c4b31950000005579ab6f01000000789c754e410ac2"
+    "30108cf527731372f39693ff2845b6e9aaa5094a12c112f2631fe1d61615d1"
+    "d9c3ecce2c3b7b574a650c3035a8fd5d6834822c64447b624f305b8dd87b18"
+    "d82f4063e0518cbfb734124589cb70d4b29355c747b2238a86e7147a1bc594"
+    "816f29d0d41689b7125fbf7c8d2e9c2f1347f9ed533fd8b4bfbe8d67940ccc"
+    "ddac35a5520bd6336d76d56a511e934e4ef2")

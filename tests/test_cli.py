@@ -543,6 +543,44 @@ class TestStore:
         assert code == 1
         assert "store verify: FAILED" in out
 
+    def pre_v3_store(self, tmp_path) -> str:
+        from helpers import V2_SEGMENT
+        (tmp_path / "store.seg").write_bytes(V2_SEGMENT)
+        return str(tmp_path)
+
+    def test_verify_names_a_pre_v3_segment(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "store", "verify",
+                            self.pre_v3_store(tmp_path))
+        assert code == 1
+        assert "segment format 2 is not readable" in out
+        assert "bad frame magic" not in out
+        assert "store verify: FAILED" in out
+
+    def test_inspect_flags_a_pre_v3_segment(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "store", "inspect",
+                            self.pre_v3_store(tmp_path))
+        assert code == 0
+        assert "[TORN]" in out
+
+    def test_stale_store_env_is_ignored(self, capsys, tmp_path,
+                                        monkeypatch):
+        """A ``$REPRO_STORE`` value left in the environment no longer
+        selects or refuses anything: the sweep writes the segment."""
+        import os
+        monkeypatch.setenv("REPRO_STORE", "parquet")
+        code, out = run_cli(capsys, "sweep", "--lbs", "reps",
+                            "--pattern", "tornado", "--mib", "0.25",
+                            "--hosts", "8", "--hosts-per-t0", "4",
+                            "--seeds", "1", "--name", "x",
+                            "--results-dir", str(tmp_path))
+        assert code == 0
+        root = tmp_path / "x"
+        assert (root / "store.seg").is_file()
+        assert [n for n in os.listdir(root) if n.endswith(".json")] \
+            in ([], ["manifest.json"])
+        code, out = run_cli(capsys, "store", "verify", str(root))
+        assert code == 0
+
     def test_store_commands_reject_missing_dir(self, capsys, tmp_path):
         for command in ("compact", "inspect", "verify"):
             with pytest.raises(SystemExit, match="store directory"):
